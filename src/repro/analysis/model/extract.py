@@ -85,6 +85,18 @@ _REDUCE_NAMES = {"MAX": "max", "MIN": "min", "SUM": "sum",
 
 _CTX = object()   # varmap marker: this name is the context object
 
+
+class _Closure:
+    """varmap marker: this name is a nested ``async def``, in the frame
+    that defined it or passed on as an argument.  Calling it inlines its
+    body; free names resolve in ``scope``, the defining frame."""
+
+    def __init__(self, fn: ast.AST, env: "ModuleEnv", scope: "_Frame"):
+        self.fn = fn
+        self.env = env
+        self.scope = scope
+
+
 _PROTOCOL_RE = re.compile(
     r"#\s*repro:\s*protocol\b(?P<params>[^#]*)")
 
@@ -269,11 +281,15 @@ class Extractor:
 
     def _stmt(self, node, frame: _Frame) -> None:
         line = self._line(node, frame)
+        if isinstance(node, ast.AsyncFunctionDef):
+            # a nested coroutine (e.g. a repair step handed to a shared
+            # loop) is inlined wherever it is called
+            frame.varmap[node.name] = _Closure(node, frame.env, frame)
+            return
         if isinstance(node, (ast.Pass, ast.Import, ast.ImportFrom,
                              ast.Assert, ast.Global, ast.Nonlocal,
-                             ast.Delete, ast.FunctionDef,
-                             ast.AsyncFunctionDef, ast.ClassDef)):
-            return  # nested defs are callbacks: calls to them are opaque
+                             ast.Delete, ast.FunctionDef, ast.ClassDef)):
+            return  # sync nested defs are callbacks: calls are opaque
         if isinstance(node, ast.Expr):
             value = _unwrap_await(node.value)
             if isinstance(value, ast.Call):
@@ -422,6 +438,11 @@ class Extractor:
             return
         # inlinable protocol functions
         if isinstance(func, ast.Name):
+            closure = frame.varmap.get(func.id)
+            if isinstance(closure, _Closure):
+                self._inline(closure.fn, closure.env, call, frame, out, line,
+                             scope=closure.scope)
+                return
             inlined = self._resolve_inline(func.id, frame)
             if inlined is not None:
                 self._inline(inlined[0], inlined[1], call, frame, out, line)
@@ -502,7 +523,8 @@ class Extractor:
         return None
 
     def _inline(self, func: ast.AST, env: ModuleEnv, call: ast.Call,
-                frame: _Frame, out: Optional[str], line: int) -> None:
+                frame: _Frame, out: Optional[str], line: int,
+                scope: Optional[_Frame] = None) -> None:
         if func.name in self._stack:
             raise ExtractError(
                 f"recursive protocol call to {func.name}", line)
@@ -514,6 +536,16 @@ class Extractor:
         prefix = f"__in{self._depth}_{func.name}__"
         sub = _Frame(env, prefix, lineno_base=line,
                      retvar=f"{prefix}ret")
+        if scope is not None:
+            # a closure sees its defining frame's names, except those it
+            # binds itself (parameters and assignment targets)
+            own = {a.arg for a in ast.walk(func.args)
+                   if isinstance(a, ast.arg)}
+            own |= {n.id for n in ast.walk(func) if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Store)}
+            sub.varmap.update((k, v) for k, v in scope.varmap.items()
+                              if k not in own)
+            sub.const_hints.update(scope.const_hints)
         self._bind_params(func, call, frame, sub, line)
         self.asm.emit(SetVar(sub.retvar, ("const", None), line))
         self._stmts(func.body, sub)
@@ -543,9 +575,10 @@ class Extractor:
         for p in params + list(func.args.kwonlyargs):
             name = p.arg
             node = bound.get(name)
-            if node is not None and isinstance(node, ast.Name) and \
-                    frame.varmap.get(node.id) is _CTX:
-                sub.varmap[name] = _CTX
+            if node is not None and isinstance(node, ast.Name) and (
+                    frame.varmap.get(node.id) is _CTX
+                    or isinstance(frame.varmap.get(node.id), _Closure)):
+                sub.varmap[name] = frame.varmap[node.id]
                 continue
             if node is not None:
                 expr = self._expr(node, frame)

@@ -1,7 +1,8 @@
 """Reference protocol programs for the shipped recovery configurations.
 
 Each ``@protocol_model`` function below is the *communication skeleton*
-of one recovery configuration of :class:`repro.core.app.SolverApp`: the
+of one recovery configuration of :class:`repro.core.app.CombinationApp`:
+the
 CR (checkpoint/restart), RC (resampling/copying) and AC (alternate
 combination) data-recovery techniques under the paper's global respawn
 repair, plus the two alternative repair modes of
@@ -25,7 +26,8 @@ while the state space is exponential in ranks.
 
 These functions double as the executable documentation of the recovery
 protocol: a step here corresponds one-to-one with a phase of
-``SolverApp`` (the ``# app:`` comments name the counterpart).
+``CombinationApp`` or of its repair mode's strategy in
+:mod:`repro.ft.strategy` (the ``# app:`` comments name the counterpart).
 """
 
 from __future__ import annotations
@@ -48,12 +50,13 @@ DEFAULT_RANKS = GRID_RANKS * NGRIDS
 
 
 async def rejoin(ctx, world, gid, target):
-    """Post-repair resynchronisation.  # app: _post_failure_resync +
-    _cr_failure_branch (every rank contributes what it knows — a
-    re-spawned root must not be the single source of truth).  The
-    shrink mode shares this resync verbatim: after the in-place repair
-    the contracted world re-splits and restores exactly the same way
-    (# app: _shrink_resync + _shrink_failure_branch)."""
+    """Post-repair resynchronisation.  # app: RespawnStrategy.post_repair
+    + RecoveryStrategy.cr_failure_branch + CombinationApp.restore_to_horizon
+    (every rank contributes what it knows — a re-spawned root must not be
+    the single source of truth).  The shrink mode shares this resync
+    verbatim: after the in-place repair the contracted world re-splits and
+    restores exactly the same way (# app: ShrinkInPlaceStrategy.post_repair
+    + RecoveryStrategy.cr_failure_branch)."""
     known = await world.allgather(known_failed_ranks(ctx))
     lost = grids_of(known, GRID_RANKS)
     grid = await world.split(gid, world.rank)
@@ -72,7 +75,8 @@ async def rejoin(ctx, world, gid, target):
 
 
 async def cr_segment(ctx, world, grid, gid, seg):
-    """One guarded solve segment.  # app: _step_guarded + _cr_segments"""
+    """One guarded solve segment.  # app: CombinationApp._step_guarded +
+    CombinationApp._cr_segments"""
     try:
         await grid.halo()
     except MPIError:
@@ -89,8 +93,9 @@ async def cr_segment(ctx, world, grid, gid, seg):
 
 
 async def finale(ctx, world, grid, gid):
-    """Recovery + combination phases.  # app: _recovery_phase +
-    _combination_phase (CR recovers from disk, so no extra traffic)."""
+    """Recovery + combination phases.  # app:
+    CombinationApp._recovery_phase + CombinationApp._combination_phase
+    (CR recovers from disk, so no extra traffic)."""
     await world.barrier()
     await world.barrier()
     await world.barrier()
@@ -113,7 +118,7 @@ async def cr_parent(ctx, world):
 
 async def cr_child(ctx):
     """Checkpoint/restart mode, re-spawned-process entry point.
-    # app: SolverApp.run() with ctx.is_respawned"""
+    # app: CombinationApp.run() with a parent + RespawnStrategy.join"""
     world = await communicator_reconstruct(ctx, None, entry=cr_child)
     if world is None:
         return None  # orphan of an abandoned repair round
@@ -131,8 +136,9 @@ async def cr_child(ctx):
 
 async def sparse_step(ctx, world, grid, gid, entry):
     """One unsegmented solve + single repair round.  # app:
-    _plain_stepping (RC and AC do not checkpoint: one guarded solve,
-    one reconstruct, then resync)."""
+    CombinationApp._plain_stepping (RC and AC do not checkpoint: one
+    guarded solve, one reconstruct, then resync —
+    RespawnStrategy.post_repair)."""
     lost = ()
     try:
         await grid.halo()
@@ -150,7 +156,8 @@ async def sparse_step(ctx, world, grid, gid, entry):
 async def rc_finale(ctx, world, grid, gid, lost):
     """Resampling/copying recovery: the paired surviving grid root
     sends its field to each lost grid's root, which scatters it.
-    # app: _rc_recover + _combination_phase"""
+    # app: CombinationApp._rc_recover +
+    CombinationApp._combination_phase"""
     await world.barrier()
     for g in lost:
         src = NGRIDS - 1 - g
@@ -194,7 +201,8 @@ async def rc_child(ctx):
 async def ac_finale(ctx, world, grid, gid, lost):
     """Alternate-combination recovery: root recombines without the lost
     grids, then re-seeds each lost grid root from the combined field.
-    # app: AlternateCombination.recover + scatter_samples"""
+    # app: CombinationApp._recovery_phase + CombinationApp._combination_phase
+    with scatter_samples"""
     await world.barrier()
     await world.barrier()
     await world.barrier()
@@ -235,7 +243,8 @@ async def shrink_repair(ctx, world):
     """World-wide detection and in-place repair: agree + probe barrier;
     on error revoke + shrink, and *no* spawn — the contracted
     communicator simply becomes the world.  # app:
-    _shrink_detect_repair"""
+    ShrinkInPlaceStrategy.detect_and_repair (through
+    ft.reconstruct.probe_and_repair)"""
     for _attempt in range(16):
         ok = await world.agree(1)
         try:
@@ -251,7 +260,7 @@ async def shrink_repair(ctx, world):
 
 async def shrink_segment(ctx, world, grid, gid, seg):
     """One guarded solve segment under in-place repair.  # app:
-    _cr_segment_loop with ShrinkInPlaceStrategy"""
+    CombinationApp._cr_segments with ShrinkInPlaceStrategy"""
     try:
         await grid.halo()
     except MPIError:
@@ -288,7 +297,8 @@ async def nc_repair(ctx, world, grid):
     local membership update *before* the re-probe — the rebuilt grid's
     agree + barrier double as the child's join point, so the child can
     only proceed past them once its world slot is patched.  # app:
-    _nc_detect_repair"""
+    NonCollectiveStrategy.detect_and_repair (through
+    ft.reconstruct.probe_and_repair)"""
     for _attempt in range(16):
         ok = await grid.agree(1)
         try:
@@ -305,7 +315,8 @@ async def nc_repair(ctx, world, grid):
 async def nc_rejoin(ctx, world, grid, gid, target):
     """Post-repair resynchronisation, confined to the rebuilt grid:
     agree on the resume horizon and restore from the grid's own
-    checkpoints.  # app: _nc_cr_branch"""
+    checkpoints.  # app: NonCollectiveStrategy.cr_failure_branch +
+    CombinationApp.restore_to_horizon"""
     horizon = await grid.allreduce(target, op=MAX)
     epoch = ckpt_restore(gid)
     try:
@@ -317,7 +328,7 @@ async def nc_rejoin(ctx, world, grid, gid, target):
 
 async def nc_segment(ctx, world, grid, gid, seg):
     """One guarded solve segment; detection and repair stay grid-local.
-    # app: _cr_segment_loop with NonCollectiveStrategy"""
+    # app: CombinationApp._cr_segments with NonCollectiveStrategy"""
     try:
         await grid.halo()
     except MPIError:
@@ -335,8 +346,8 @@ async def nc_segment(ctx, world, grid, gid, seg):
 async def nc_finale(ctx, world, grid, gid):
     """Deferred world resynchronisation — the mode's one world-wide
     exchange, after stepping completes — then the recovery/combination
-    phases.  # app: _nc_world_resync + _recovery_phase +
-    _combination_phase"""
+    phases.  # app: NonCollectiveStrategy.rejoin_world +
+    CombinationApp._recovery_phase + CombinationApp._combination_phase"""
     ok = await world.agree(1)
     known = await world.allgather(known_failed_ranks(ctx))
     lost = grids_of(known, GRID_RANKS)
@@ -356,7 +367,8 @@ async def nc_parent(ctx, world):
 async def nc_child(ctx):
     """Non-collective mode, re-spawned-process entry point: joins only
     its own grid's rebuild, then adopts the world whose membership the
-    survivors already patched.  # app: SolverApp._nc_child_join"""
+    survivors already patched.  # app: NonCollectiveStrategy.join +
+    CombinationApp.run()"""
     grid = await communicator_reconstruct(ctx, None, entry=nc_child)
     if grid is None:
         return None  # orphan of an abandoned repair round

@@ -30,13 +30,16 @@ local membership update and unaffected grids never stop solving).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ft.checkpoint import (CheckpointStats, Disk, checkpoint_interval_steps,
                              restore_checkpoint, restore_checkpoint_remapped,
                              write_checkpoint)
+# failed_procs_list, communicator_reconstruct and repair_comm are called
+# from repro.ft.strategy; they stay importable here because
+# perfbench/layers.py wraps them at this import site
 from ..ft.detection import failed_procs_list
 from ..ft.reconstruct import (PLACE_SAME_HOST, ReconstructTimers,
                               communicator_reconstruct, repair_comm)
@@ -50,7 +53,7 @@ from ..pde.norms import l1, l2, linf
 from ..pde.parallel_solver import DistributedAdvectionSolver
 from ..sparsegrid.interpolation import axis_points
 from ..sparsegrid.parallel_combine import combine_on_root, scatter_samples
-from .layout import Layout, SurvivorView, layout_for
+from .layout import Layout, layout_for
 from .metrics import RunMetrics
 
 #: base tag for recovery data motion (offset by destination gid)
@@ -156,11 +159,12 @@ class CombinationApp:
         self.scheme = self.technique.make_scheme(cfg.n, cfg.level)
         self.layout = cfg.layout()
         #: the launch-time layout; ``self.layout`` becomes a
-        #: :class:`SurvivorView` after a shrink-in-place repair
+        #: :class:`~repro.core.layout.SurvivorView` after a shrink-in-place
+        #: repair
         self.base_layout = self.layout
-        #: original world rank of each current world rank (shrink mode
-        #: contracts this list; the other modes never change it)
-        self._members: List[int] = list(range(self.layout.total_procs))
+        #: original world rank of each current world rank: the identity
+        #: until a shrink-in-place repair contracts it into a list
+        self.members: Sequence[int] = range(self.layout.total_procs)
         self.timers = ReconstructTimers()
         self.metrics = RunMetrics(
             technique=self.technique.code, recovery_mode=self.strategy.mode,
@@ -186,29 +190,25 @@ class CombinationApp:
     # ------------------------------------------------------------------
     async def run(self):
         ctx, cfg = self.ctx, self.cfg
-        respawned = ctx.get_parent() is not None
-        if respawned and self.strategy.mode == "nc":
-            # Non-collective replacement: rejoin only the failed sub-grid's
-            # communicator (the parents re-admit us into the world).
-            if await self._nc_child_join() is None:
+        if ctx.get_parent() is not None:
+            # Re-spawned replacement: rejoin through the child branch of
+            # the mode's reconstruction protocol.
+            if not await self.strategy.join(self):
                 return None  # orphan of an aborted repair attempt
-        elif respawned:
-            # Re-spawned replacement: rejoin through the child branch of the
-            # reconstruction protocol, regaining the predecessor's rank.
-            self.world = await communicator_reconstruct(
-                ctx, ctx.comm, entry=app_main, argv=(cfg,),
-                placement=cfg.placement, timers=self.timers)
-            if self.world is None:
-                return None  # orphan of an aborted repair attempt
-            self.gid = self.layout.gid_of(self.world.rank)
             if self.technique.needs_checkpoints:
-                # resync happens inside the failure branch of the segment
-                # the survivors are currently executing
-                await self._cr_segments(resume=True)
+                # the survivors are inside the CR failure branch of some
+                # segment: join it, then run the remaining segments with
+                # them.  The agreed horizon — NOT the local step count —
+                # must drive the filter: if this very recompute is
+                # interrupted by another failure, the step count stalls
+                # but the segment schedule (and its one detection
+                # collective per boundary) marches on for everyone.
+                horizon = await self.strategy.cr_failure_branch(self, None)
+                await self._cr_segments(after=horizon)
             else:
-                # RC/AC children: resync now; data recovery happens in the
-                # shared recovery/combination phases
-                await self._post_failure_resync(make_solver=True)
+                # RC/AC: resync now; data recovery happens in the shared
+                # recovery/combination phases
+                await self.strategy.post_repair(self)
         else:
             self.world = ctx.comm
             if self.world.size != self.layout.total_procs:
@@ -217,18 +217,15 @@ class CombinationApp:
                     f"{self.layout.total_procs}")
             self.gid = self.layout.gid_of(self.world.rank)
             self.grid_comm = await self.world.split(self.gid, self.world.rank)
-            self._make_solver()
+            self.make_solver()
             t0 = ctx.wtime()
             if self.technique.needs_checkpoints:
-                await self._cr_segments(resume=False)
+                await self._cr_segments(after=0)
             else:
                 await self._plain_stepping()
             self.metrics.t_solve = ctx.wtime() - t0
 
-        if self.strategy.mode == "nc":
-            # grids repaired independently; agree on the global loss set
-            # before entering the world-collective phases
-            await self._nc_world_resync()
+        await self.strategy.rejoin_world(self)
         if cfg.simulated_lost_gids and not self.lost:
             self.lost = sorted(set(cfg.simulated_lost_gids))
         await self._recovery_phase()
@@ -236,7 +233,7 @@ class CombinationApp:
         return self._finish(combined)
 
     # ------------------------------------------------------------------
-    def _make_solver(self):
+    def make_solver(self):
         sub = self.scheme[self.gid]
         if self.cfg.decomposition == "2d":
             from ..mpi.cart import CartHandle
@@ -260,35 +257,19 @@ class CombinationApp:
             raise ValueError(
                 f"unknown decomposition {self.cfg.decomposition!r}")
 
-    async def _post_failure_resync(self, make_solver: bool) -> None:
-        """Shared resync after a reconstruction: learn the loss set, rebuild
-        grid communicators (and, for new processes, the solver shell).
+    def record_failures(self, ranks, layout=None) -> None:
+        """Fold failed world ranks (numbered by ``layout``, default the
+        current one) into the run's failure record and mark their grids
+        lost."""
+        self.timers.record_failed(ranks)
+        self.mark_lost((layout or self.layout).grids_of_ranks(ranks))
 
-        The loss set is the union of every rank's locally-observed failed
-        ranks, never a single rank's view: a re-spawned replacement —
-        including a replacement rank 0 — joins with an empty failure
-        record, so a rank-0 broadcast would announce an empty loss set and
-        no grid would ever restore."""
-        world = self.world
-        views = await world.allgather(tuple(self.timers.failed_ranks))
-        union = sorted({r for view in views for r in view})
-        # fold the agreed set back into the local record so replacements
-        # report the same failure history as survivors
-        for r in union:
-            if r not in self.timers.failed_ranks:
-                self.timers.failed_ranks.append(r)
-        self.timers.failed_ranks.sort()
-        self.timers.total_failed = len(self.timers.failed_ranks)
-        lost_gids = self.layout.grids_of_ranks(union)
-        for g in lost_gids:
+    def mark_lost(self, gids) -> None:
+        """Add grids to the (sorted) lost set."""
+        for g in gids:
             if g not in self.lost:
                 self.lost.append(g)
         self.lost.sort()
-        self.grid_comm = await world.split(self.gid, world.rank)
-        if make_solver or self.solver is None:
-            self._make_solver()
-        else:
-            self.solver.rebind(self.grid_comm)
 
     # ------------------------------------------------------------------
     # RC/AC: step everything, detect at the end
@@ -315,22 +296,6 @@ class CombinationApp:
             await self.strategy.post_repair(self)
 
     # ------------------------------------------------------------------
-    # respawn mode (the paper's protocol)
-    # ------------------------------------------------------------------
-    async def _respawn_detect_repair(self) -> bool:
-        """Detection point of the paper's protocol: the Fig. 3 loop (agree +
-        probe barrier; full global repair on error).  Returns True when the
-        world was repaired."""
-        cfg = self.cfg
-        world2 = await communicator_reconstruct(
-            self.ctx, self.world, entry=app_main, argv=(cfg,),
-            placement=cfg.placement, timers=self.timers)
-        changed = world2.state is not self.world.state
-        if changed:
-            self.world = world2
-        return changed
-
-    # ------------------------------------------------------------------
     # CR: segment loop with detection + checkpoint at each boundary
     # ------------------------------------------------------------------
     def _segment_targets(self) -> List[int]:
@@ -341,84 +306,55 @@ class CombinationApp:
             targets.append(cfg.steps)
         return targets
 
-    async def _cr_segments(self, resume: bool) -> None:
-        """The Checkpoint/Restart protocol.
+    async def _cr_segments(self, after: int) -> None:
+        """The Checkpoint/Restart protocol over the segments past step
+        ``after``.
 
         Per segment: step to the boundary; test for failures (the paper
         checks "prior to initiating the checkpoint write"); on failure
-        reconstruct, restore the affected grids from their checkpoints and
-        recompute; otherwise write a checkpoint.  ``resume=True`` is the
-        re-spawned-child path: it joins at the current boundary (its state
-        is restored by the failure branch of the segment in progress).
+        the strategy repairs, and its failure branch restores the affected
+        grids from their checkpoints and recomputes; otherwise write a
+        checkpoint.
         """
-        targets = self._segment_targets()
-        if resume:
-            # restore immediately: the survivors are inside the failure
-            # branch of some segment and will match these collectives; the
-            # broadcast horizon equals the failing segment's boundary, so
-            # the remaining segments are exactly those past it.  The global
-            # horizon — NOT the local step count — must drive the filter:
-            # if this very recompute is interrupted by another failure, the
-            # step count stalls but the segment schedule (and its one
-            # detection collective per boundary) marches on for everyone.
-            horizon = await self._cr_failure_branch(first_join=True)
-            targets = [t for t in targets if t > horizon]
-        await self._cr_segment_loop(targets)
-
-    async def _cr_segment_loop(self, targets: List[int]) -> None:
         ctx, cfg = self.ctx, self.cfg
-        for target in targets:
-            with self.ctx.span("solve", technique=self.technique.code,
-                               gid=self.gid):
+        for target in self._segment_targets():
+            if target <= after:
+                continue
+            with ctx.span("solve", technique=self.technique.code,
+                          gid=self.gid):
                 await self._step_guarded(target - self.solver.step_count)
             # the paper tests for failures "prior to initiating the
             # checkpoint write" — the strategy's detection point is that
             # test (and the repair, when it fails)
             failed = await self.strategy.detect_and_repair(self)
             if failed:
-                await self._cr_post_failure(target)
+                await self.strategy.cr_failure_branch(self, target)
             elif target < cfg.steps and self.checkpoint_count > 0:
                 await write_checkpoint(ctx, self._disk(), self.gid,
                                        self.grid_comm.rank, self.solver,
                                        self.cr_stats)
 
-    async def _cr_post_failure(self, target: int) -> None:
-        """Mode-specific CR failure branch at a segment boundary."""
-        mode = self.strategy.mode
-        if mode == "respawn":
-            await self._cr_failure_branch(first_join=False, target=target)
-        elif mode == "shrink":
-            await self._shrink_failure_branch(target)
-        else:  # nc
-            await self._nc_cr_branch(target)
+    async def restore_to_horizon(self, comm, target: Optional[int]) -> int:
+        """CR after a repair: agree on the recompute horizon over ``comm``
+        (the world, or the repaired grid alone) and, on a lost grid,
+        restore from checkpoints and recompute up to it.  Returns the
+        horizon.
 
-    async def _cr_failure_branch(self, first_join: bool,
-                                 target: Optional[int] = None) -> int:
-        """Post-reconstruction work inside the CR segment loop: resync,
-        restore affected grids from checkpoints, recompute lost steps.
-
-        Returns the agreed global segment horizon (the boundary of the
-        segment in which the failure was detected).
-        """
-        ctx = self.ctx
-        await self._post_failure_resync(make_solver=first_join)
-        # Every rank must agree on the recompute horizon.  MAX-allreduce,
-        # not a rank-0 broadcast: a replacement for a dead rank 0 joins
-        # with ``target=None`` and would broadcast horizon 0, silently
-        # cancelling the recompute on every survivor.
-        horizon = await self.world.allreduce(
-            target if target is not None else 0, op=MAX)
+        MAX-allreduce, not a rank-0 broadcast: a replacement for a dead
+        rank 0 joins with ``target=None`` and would broadcast horizon 0,
+        silently cancelling the recompute on every survivor."""
+        horizon = await comm.allreduce(target if target is not None else 0,
+                                       op=MAX)
         if self.gid in self.lost:
-            await self._restore_grid()
-            recompute = max(0, horizon - self.solver.step_count)
-            with ctx.span("recompute", technique="CR", gid=self.gid):
-                await self._step_guarded(recompute)
-            self.cr_stats.recompute_steps += recompute
-        try:
-            await self.world.barrier()
-        except MPIError:
-            pass  # another failure landed; the next detection point repairs
+            await self._restore_and_recompute(horizon)
         return horizon
+
+    async def _restore_and_recompute(self, horizon: int) -> None:
+        await self._restore_grid()
+        recompute = max(0, horizon - self.solver.step_count)
+        with self.ctx.span("recompute", technique="CR", gid=self.gid):
+            await self._step_guarded(recompute)
+        self.cr_stats.recompute_steps += recompute
 
     async def _restore_grid(self) -> None:
         """Restore this grid from its checkpoints, remapping when the group
@@ -443,244 +379,6 @@ class CombinationApp:
         if self.cfg.disk is None:
             self.cfg.disk = Disk()
         return self.cfg.disk
-
-    # ------------------------------------------------------------------
-    # shrink-in-place mode
-    # ------------------------------------------------------------------
-    async def _shrink_detect_repair(self) -> bool:
-        """Detection point of the shrink-in-place mode: agree + probe
-        barrier on the world; on error revoke + shrink — no spawn, no
-        merge.  Loops so failures landing *during* the shrink are caught by
-        the re-probe.  Returns True when the world contracted."""
-        ctx = self.ctx
-        wtime = ctx.wtime
-        changed = False
-        while True:
-            t0 = wtime()
-            with ctx.span("agree", technique=self.technique.code):
-                await self.world.agree(1)
-            self.timers.charge("agree", wtime() - t0)
-            try:
-                await self.world.barrier()
-                return changed
-            except MPIError:
-                pass
-            changed = True
-            t0 = wtime()
-            with ctx.span("detect"):
-                self.world.revoke()
-                t1 = wtime()
-                with ctx.span("shrink"):
-                    shrunk = await self.world.shrink()
-                shrink_time = wtime() - t1
-                self.timers.charge("shrink", shrink_time)
-                t1 = wtime()
-                failed, _ = failed_procs_list(self.world, shrunk)
-                self.timers.charge("failed_list",
-                                   (wtime() - t1) + shrink_time)
-            # record the dead in *original* world numbering, then contract
-            # the membership map — the group difference is in current ranks
-            for i in failed:
-                w = self._members[i]
-                if w not in self.timers.failed_ranks:
-                    self.timers.failed_ranks.append(w)
-            self.timers.failed_ranks.sort()
-            self.timers.total_failed = len(self.timers.failed_ranks)
-            dead = set(failed)
-            self._members = [m for i, m in enumerate(self._members)
-                             if i not in dead]
-            self.world = shrunk
-            self.timers.iterations += 1
-            self.timers.charge("reconstruct", wtime() - t0)
-
-    async def _shrink_resync(self) -> None:
-        """Post-shrink membership/data resync: re-express the layout in
-        survivor numbering, re-split grid communicators, and re-decompose
-        any grid whose group contracted."""
-        ctx = self.ctx
-        with ctx.span("redistribute", technique=self.technique.code,
-                      gid=self.gid):
-            for g in self.base_layout.grids_of_ranks(self.timers.failed_ranks):
-                if g not in self.lost:
-                    self.lost.append(g)
-            # orphan adoption: CR restores the adopted grid from its
-            # checkpoints and RC from its replica/resample source, so a
-            # fully-lost grid migrates onto a donor; AC drops lost grids
-            # from the combination instead, so donating would only destroy
-            # a healthy grid's data
-            self.layout = SurvivorView(self.base_layout, self._members,
-                                       adopt_orphans=self.technique.code
-                                       != "AC")
-            for donor_gid in self.layout.adoptions.values():
-                # the donor's old group contracted without failing; it
-                # needs restoration like any damaged grid
-                if donor_gid not in self.lost:
-                    self.lost.append(donor_gid)
-            self.lost.sort()
-            new_gid = self.layout.gid_of(self.world.rank)
-            adopted = new_gid != self.gid
-            self.gid = new_gid
-            old_size = self.grid_comm.size
-            self.grid_comm = await self.world.split(self.gid, self.world.rank)
-            if not adopted and self.grid_comm.size == old_size:
-                # untouched grid: the split preserved relative order, so
-                # every member keeps its grid rank — and its slab, bit for
-                # bit
-                self.solver.rebind(self.grid_comm)
-            else:
-                # contracted or adopted grid: fresh solver over the
-                # re-balanced decomposition; data comes back via the
-                # recovery technique
-                self._make_solver()
-
-    async def _shrink_failure_branch(self, target: Optional[int]) -> int:
-        """CR failure branch of the shrink mode: resync, then the affected
-        (now smaller) grids restore via the remapped migration plan and
-        recompute to the agreed horizon."""
-        ctx = self.ctx
-        await self._shrink_resync()
-        horizon = await self.world.allreduce(
-            target if target is not None else 0, op=MAX)
-        if self.gid in self.lost:
-            await self._restore_grid()
-            recompute = max(0, horizon - self.solver.step_count)
-            with ctx.span("recompute", technique="CR", gid=self.gid):
-                await self._step_guarded(recompute)
-            self.cr_stats.recompute_steps += recompute
-        try:
-            await self.world.barrier()
-        except MPIError:
-            pass  # another failure landed; the next detection point repairs
-        return horizon
-
-    # ------------------------------------------------------------------
-    # non-collective mode
-    # ------------------------------------------------------------------
-    async def _nc_detect_repair(self) -> bool:
-        """Detection point of the non-collective mode: agree + probe barrier
-        on *this grid's* communicator only.  On error, Fig. 5 runs against
-        the sub-grid communicator and the replacements are re-admitted into
-        the world by a local membership update — other grids never notice.
-
-        The loop-head agree+barrier doubles as the join point with the
-        re-spawned child (the tail of its reconstruction loop): readmits
-        happen before the parents enter it, so once it completes the child
-        is a world member everywhere."""
-        ctx, cfg = self.ctx, self.cfg
-        changed = False
-        while True:
-            t0 = ctx.wtime()
-            with ctx.span("agree", technique=self.technique.code,
-                          gid=self.gid):
-                await self.grid_comm.agree(1)
-            self.timers.charge("agree", ctx.wtime() - t0)
-            try:
-                await self.grid_comm.barrier()
-                return changed
-            except MPIError:
-                pass
-            changed = True
-            t0 = ctx.wtime()
-            with ctx.span("rebuild", technique=self.technique.code,
-                          gid=self.gid):
-                rank_map = list(self.layout.group_ranks(self.gid))
-                old_state = self.grid_comm.state
-                grid2 = await repair_comm(
-                    ctx, self.grid_comm, entry=app_main,
-                    argv=(cfg, self.world.state, self.gid),
-                    placement=cfg.placement, timers=self.timers,
-                    rank_map=rank_map)
-                for i in range(grid2.size):
-                    p = grid2.state.procs[i]
-                    if p is not old_state.procs[i]:
-                        await self.world.readmit(rank_map[i], p)
-                self.grid_comm = grid2
-                self.solver.rebind(grid2)
-            self.timers.iterations += 1
-            self.timers.charge("reconstruct", ctx.wtime() - t0)
-
-    async def _nc_child_join(self):
-        """Child branch of the non-collective mode: rejoin the *sub-grid*
-        communicator through the reconstruction protocol, then adopt the
-        world communicator the parents re-admitted us into (shipped in the
-        spawn argv, membership already patched by the time the join barrier
-        completes)."""
-        ctx, cfg = self.ctx, self.cfg
-        grid = await communicator_reconstruct(
-            ctx, ctx.comm, entry=app_main, argv=ctx.argv,
-            placement=cfg.placement, timers=self.timers)
-        if grid is None:
-            return None  # orphan of an aborted repair attempt
-        self.gid = int(ctx.argv[2])
-        self.grid_comm = grid
-        self.world = ctx.argv[1].handle(ctx.proc)
-        self._make_solver()
-        if self.technique.needs_checkpoints:
-            # the survivors are inside the CR failure branch of some
-            # segment; join it, then run the remaining segments with them
-            horizon = await self._nc_cr_branch(None)
-            await self._cr_segment_loop(
-                [t for t in self._segment_targets() if t > horizon])
-        elif self.gid not in self.lost:
-            # RC/AC: this grid's data comes back in the recovery phase
-            self.lost.append(self.gid)
-        return grid
-
-    async def _nc_cr_branch(self, target: Optional[int]) -> int:
-        """CR failure branch of the non-collective mode: grid-local — the
-        affected grid agrees on its horizon, restores and recomputes while
-        every other grid keeps stepping its own segments."""
-        ctx = self.ctx
-        if self.gid not in self.lost:
-            self.lost.append(self.gid)
-            self.lost.sort()
-        horizon = await self.grid_comm.allreduce(
-            target if target is not None else 0, op=MAX)
-        await self._restore_grid()
-        recompute = max(0, horizon - self.solver.step_count)
-        with ctx.span("recompute", technique="CR", gid=self.gid):
-            await self._step_guarded(recompute)
-        self.cr_stats.recompute_steps += recompute
-        return horizon
-
-    async def _nc_world_resync(self) -> None:
-        """Rejoin the world after grid-local repairs: one agreement plus an
-        allgather unions every grid's locally-observed loss set — the first
-        (and only) world-collective step the non-collective mode takes."""
-        ctx = self.ctx
-        world = self.world
-        t0 = ctx.wtime()
-        with ctx.span("agree", technique=self.technique.code):
-            await world.agree(1)
-        self.timers.charge("agree", ctx.wtime() - t0)
-        t = self.timers
-        payload = (tuple(t.failed_ranks), t.reconstruct, t.shrink, t.spawn,
-                   t.merge, t.failed_list, t.iterations)
-        try:
-            views = await world.allgather(payload)
-        except MPIError:
-            raise RuntimeError(
-                "non-collective repair cannot recover a grid that lost "
-                "every member (no survivor is left to rebuild it); use "
-                "shrink or respawn mode for full-grid losses") from None
-        union = sorted({r for view in views for r in view[0]})
-        # repairs ran grid-locally: adopt the slowest grid's repair costs
-        # everywhere (the wall-clock convention rank 0's metrics report)
-        t.reconstruct = max(v[1] for v in views)
-        t.shrink = max(v[2] for v in views)
-        t.spawn = max(v[3] for v in views)
-        t.merge = max(v[4] for v in views)
-        t.failed_list = max(v[5] for v in views)
-        t.iterations = max(v[6] for v in views)
-        for r in union:
-            if r not in self.timers.failed_ranks:
-                self.timers.failed_ranks.append(r)
-        self.timers.failed_ranks.sort()
-        self.timers.total_failed = len(self.timers.failed_ranks)
-        for g in self.layout.grids_of_ranks(union):
-            if g not in self.lost:
-                self.lost.append(g)
-        self.lost.sort()
 
     # ------------------------------------------------------------------
     # recovery phase (lost-set already agreed by every rank)
@@ -712,15 +410,10 @@ class CombinationApp:
         latest checkpoint and recompute up to the final step."""
         if self.gid not in self.lost:
             return
-        ctx, cfg = self.ctx, self.cfg
-        if self.solver.step_count >= cfg.steps and self.cr_stats.recompute_steps:
+        if self.solver.step_count >= self.cfg.steps and \
+                self.cr_stats.recompute_steps:
             return  # already recovered in the segment loop (real failure)
-        await self._restore_grid()
-        recompute = max(0, cfg.steps - self.solver.step_count)
-        if recompute:
-            with ctx.span("recompute", technique="CR", gid=self.gid):
-                await self.solver.step(recompute)
-        self.cr_stats.recompute_steps += recompute
+        await self._restore_and_recompute(self.cfg.steps)
 
     async def _rc_recover(self) -> None:
         """RC recovery: copy a lost grid from its replica, or resample a

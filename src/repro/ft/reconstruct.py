@@ -1,11 +1,15 @@
 """Communicator reconstruction — the paper's Figs. 2, 3, 5 and 7.
 
-``communicator_reconstruct`` is the retry loop of Fig. 3: parents probe for
-failures with a barrier, repair on error; re-spawned children synchronise,
-merge into the parents' repaired communicator, learn their old rank and
-re-order — after which *every* process holds a communicator of the original
-size with the original rank distribution, and children convert themselves
-into parents so that failures *during* recovery restart the loop.
+``probe_and_repair`` is the detection loop of Fig. 3, shared by every
+repair mode: agree, probe for failures with a barrier, run the mode's
+repair step on error, and probe again until a probe succeeds.
+
+``communicator_reconstruct`` is Fig. 3 itself: parents run that loop with
+the global repair of Fig. 5; re-spawned children synchronise, merge into
+the parents' repaired communicator, learn their old rank and re-order —
+after which *every* process holds a communicator of the original size with
+the original rank distribution, and children convert themselves into
+parents so that failures *during* recovery restart the loop.
 
 ``repair_comm`` is Fig. 5: revoke → shrink → identify failed ranks →
 re-spawn them on the hosts they occupied before the failure (preserving
@@ -47,6 +51,15 @@ class ReconstructTimers:
     iterations: int = 0
     total_failed: int = 0
     failed_ranks: List[int] = field(default_factory=list)
+
+    def record_failed(self, ranks: Sequence[int]) -> None:
+        """Fold newly failed world ranks into the (sorted) failure history
+        — repeated repairs accumulate, never double-count."""
+        for r in ranks:
+            if r not in self.failed_ranks:
+                self.failed_ranks.append(r)
+        self.failed_ranks.sort()
+        self.total_failed = len(self.failed_ranks)
 
     def charge(self, phase: str, seconds: float) -> None:
         """Attribute ``seconds`` to one Table I phase bucket.
@@ -184,14 +197,9 @@ async def repair_comm(ctx, broken_comm, *, entry: Callable, argv: Sequence = (),
             failed_ranks, total_failed = failed_procs_list(broken_comm,
                                                            shrunk)
             t.charge("failed_list", (wtime() - t0) + shrink_time)
-        for r in failed_ranks:  # accumulate across repeated repairs
-            w = rank_map[r] if rank_map is not None else r
-            if w not in t.failed_ranks:
-                t.failed_ranks.append(w)
-        t.total_failed = len(t.failed_ranks)
-
         placed = [rank_map[r] for r in failed_ranks] \
             if rank_map is not None else failed_ranks
+        t.record_failed(placed)
         host_names = _placement_hosts(ctx.universe, placed, placement)
 
         # Each attempt charges the phase it is in when it aborts — once,
@@ -242,6 +250,34 @@ async def repair_comm(ctx, broken_comm, *, entry: Callable, argv: Sequence = (),
     raise RuntimeError(f"communicator repair failed {max_attempts} times")
 
 
+async def probe_and_repair(ctx, comm, timers: ReconstructTimers,
+                           repair: Callable, **labels):
+    """Fig. 3's detection loop: agree, probe with a barrier and, on error,
+    ``comm = await repair(comm)`` — then probe again, so failures landing
+    *during* a repair are caught too.  Agreement time is charged to
+    ``timers.agree`` and each repair step to ``timers.reconstruct``;
+    ``labels`` tag the agree span.
+
+    Returns ``(comm, repairs)``: the communicator that passed the probe
+    and the number of repair steps it took.
+    """
+    repairs = 0
+    while True:
+        t0 = ctx.wtime()
+        with ctx.span("agree", **labels):
+            await comm.agree(1)                              # Fig. 3 l.12
+        timers.charge("agree", ctx.wtime() - t0)
+        try:
+            await comm.barrier()                             # Fig. 3 l.13
+        except MPIError:
+            t0 = ctx.wtime()
+            comm = await repair(comm)                        # Fig. 3 l.15
+            timers.charge("reconstruct", ctx.wtime() - t0)
+            repairs += 1
+            continue
+        return comm, repairs
+
+
 async def communicator_reconstruct(ctx, my_world, *, entry: Callable,
                                    argv: Sequence = (),
                                    placement: str = PLACE_SAME_HOST,
@@ -259,49 +295,37 @@ async def communicator_reconstruct(ctx, my_world, *, entry: Callable,
     t = timers or ReconstructTimers()
     handler = make_error_handler(errhandler_sink)
     parent = ctx.get_parent()                                # Fig. 3 l.3
-    reconstructed = my_world
-    iter_counter = 0
-
-    while True:
-        failure = False
-        if parent is None:                                   # parent branch
-            if iter_counter == 0:
-                reconstructed = my_world                     # Fig. 3 l.8
-            reconstructed.set_errhandler(handler)            # Fig. 3 l.11
-            t0 = ctx.wtime()
+    reconstructed = my_world                                 # Fig. 3 l.8
+    joined = 0
+    if parent is not None:                                   # child branch
+        parent.set_errhandler(handler)                       # Fig. 3 l.20
+        try:
             with ctx.span("agree"):
-                await reconstructed.agree(1)                 # Fig. 3 l.12
-            t.agree += ctx.wtime() - t0
-            try:
-                await reconstructed.barrier()                # Fig. 3 l.13
-            except MPIError:
-                t0 = ctx.wtime()
-                with ctx.span("reconstruct"):
-                    reconstructed = await repair_comm(       # Fig. 3 l.15
-                        ctx, reconstructed, entry=entry, argv=argv,
-                        placement=placement, timers=t)
-                t.reconstruct += ctx.wtime() - t0
-                failure = True
-        else:                                                # child branch
-            parent.set_errhandler(handler)                   # Fig. 3 l.20
-            try:
-                with ctx.span("agree"):
-                    await parent.agree(1)                    # Fig. 3 l.21
-                with ctx.span("merge"):
-                    unordered = await parent.merge(high=True)  # Fig. 3 l.22
-                    old_rank = await unordered.recv(source=0, tag=MERGE_TAG)
-                    reconstructed = await unordered.split(0, old_rank)  # l.24
-            except MPIError:
-                # the repair attempt we belong to was aborted (another
-                # failure); the parents retry with fresh replacements and
-                # this orphan must exit
-                return None
-            failure = True                                   # Fig. 3 l.25-26
-            parent = None                                    # Fig. 3 l.32
-            ctx.set_parent_null()  # permanent: later detection rounds must
-            # take the parent branch (Fig. 3's child-to-parent conversion)
+                await parent.agree(1)                        # Fig. 3 l.21
+            with ctx.span("merge"):
+                unordered = await parent.merge(high=True)    # Fig. 3 l.22
+                old_rank = await unordered.recv(source=0, tag=MERGE_TAG)
+                reconstructed = await unordered.split(0, old_rank)  # l.24
+        except MPIError:
+            # the repair attempt we belong to was aborted (another
+            # failure); the parents retry with fresh replacements and
+            # this orphan must exit
+            return None
+        ctx.set_parent_null()  # permanent: later detection rounds must
+        # take the parent branch (Fig. 3's child-to-parent conversion)
+        joined = 1
 
-        iter_counter += 1
-        t.iterations = iter_counter
-        if not failure:
-            return reconstructed
+    async def repair(comm):
+        with ctx.span("reconstruct"):
+            repaired = await repair_comm(ctx, comm, entry=entry, argv=argv,
+                                         placement=placement, timers=t)
+        repaired.set_errhandler(handler)                     # Fig. 3 l.11
+        return repaired
+
+    reconstructed.set_errhandler(handler)                    # Fig. 3 l.11
+    reconstructed, repairs = await probe_and_repair(ctx, reconstructed, t,
+                                                    repair)
+    # Fig. 3's iteration count: the child's join, each repair, and the
+    # final clean probe
+    t.iterations = joined + repairs + 1
+    return reconstructed

@@ -168,9 +168,12 @@ class RendezvousTable:
         self.cleanup()
 
     def doom_all(self, exc: BaseException, now: float, detection: float) -> None:
-        """Revocation: fail every open rendezvous."""
+        """Revocation: fail every open NORMAL rendezvous.  SURVIVOR ones
+        (agree, shrink) are exempt, as ULFM specifies: they still complete
+        over the survivors."""
         for rv in self.open.values():
-            if rv.completed or rv.doomed is not None:
+            if rv.completed or rv.doomed is not None or \
+                    rv.kind is RvKind.SURVIVOR:
                 continue
             rv.doomed = exc
             for _p, _v, _t, fut in rv.arrivals.values():

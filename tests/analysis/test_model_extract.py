@@ -88,6 +88,31 @@ async def f(ctx, world):
     assert op_kinds(extract(src, "f")) == ["barrier"]
 
 
+def test_closure_passed_to_helper_is_inlined():
+    """A nested coroutine handed to a shared loop (a repair step) is
+    inlined where the loop calls it, seeing its defining frame's names."""
+    src = """
+async def retry(comm, step):
+    try:
+        await comm.barrier()
+    except MPIError:
+        comm = await step(comm)
+    return comm
+
+async def f(ctx, world, grid):
+    async def step(comm):
+        comm.revoke()
+        await grid.agree(1)
+        return await comm.shrink()
+    world = await retry(world, step)
+"""
+    sk = extract(src, "f")
+    assert op_kinds(sk) == ["barrier", "revoke", "agree", "shrink"]
+    agree = next(i for i in sk.instrs if isinstance(i, Op)
+                 and i.kind == "agree")
+    assert agree.comm == ("var", "grid")  # the captured outer name
+
+
 def test_static_range_fully_unrolled():
     src = """
 async def f(ctx, world):

@@ -1,5 +1,5 @@
 """Shrink-in-place and non-collective repair: end-to-end behaviour of the
-two non-respawning recovery modes, plus the strategy-object contracts."""
+two non-respawning recovery modes, plus the strategy registry."""
 
 import numpy as np
 import pytest
@@ -33,28 +33,6 @@ def test_registry_and_lookup():
         assert strategy_by_mode(mode) is s
     with pytest.raises(ValueError):
         strategy_by_mode("reboot")
-
-
-def test_strategy_flags():
-    assert STRATEGIES["respawn"].needs_placement()
-    assert STRATEGIES["nc"].needs_placement()
-    assert not STRATEGIES["shrink"].needs_placement()
-    assert STRATEGIES["respawn"].preserves_world
-    assert STRATEGIES["nc"].preserves_world
-    assert not STRATEGIES["shrink"].preserves_world
-
-
-def test_cost_estimate_shapes():
-    """Shrink never spawns or merges; non-collective repair adds the
-    world-readmission bookkeeping on top of the respawn operations."""
-    costs = {mode: s.cost_estimate(OPL, 11, 1)
-             for mode, s in STRATEGIES.items()}
-    assert set(costs["respawn"]) == {"revoke", "shrink", "spawn", "merge",
-                                     "agree"}
-    assert set(costs["shrink"]) == {"revoke", "shrink", "agree"}
-    assert set(costs["nc"]) == {"revoke", "shrink", "spawn", "merge",
-                                "agree", "readmit"}
-    assert sum(costs["shrink"].values()) < sum(costs["respawn"].values())
 
 
 @pytest.mark.parametrize("mode", ["shrink", "nc"])
@@ -129,65 +107,96 @@ def test_shrink_needs_no_spares_or_placement():
 # ---------------------------------------------------------------------------
 # non-collective repair
 # ---------------------------------------------------------------------------
+# Each check runs on 2-rank grids (its default) and again on 8-rank grids
+# in test_nc_on_8_rank_grids below, where the grid-local agree overlaps a
+# grid member's revoke of the grid communicator.
+def last_rank_of(cfg, gid):
+    return cfg.layout().group_ranks(gid)[-1]
+
+
 @pytest.mark.parametrize("code", ["CR", "RC", "AC"])
-def test_nc_single_failure_recovers(code):
-    base = run_app(cfg_for(code), OPL)
-    m = run_app(cfg_for(code, recovery_mode="nc"), OPL,
-                kills=[Kill(7, base.t_solve * 0.6)])
+def test_nc_single_failure_recovers(code, diag_procs=2):
+    base = run_app(cfg_for(code, diag_procs=diag_procs), OPL)
+    cfg = cfg_for(code, recovery_mode="nc", diag_procs=diag_procs)
+    victim = last_rank_of(cfg, 3)
+    m = run_app(cfg, OPL, kills=[Kill(victim, base.t_solve * 0.6)])
     assert m.recovery_mode == "nc"
-    assert m.failed_ranks == [7]
+    assert m.failed_ranks == [victim]
     assert m.lost_gids == [3]
     assert m.world_size == base.world_size  # replacement readmitted
     assert np.isfinite(m.error_l1)
 
 
-def test_nc_cr_error_equals_baseline():
-    base = run_app(cfg_for("CR"), OPL)
-    m = run_app(cfg_for("CR", recovery_mode="nc"), OPL,
-                kills=[Kill(7, base.t_solve * 0.6)])
+def test_nc_cr_error_equals_baseline(diag_procs=2):
+    base = run_app(cfg_for("CR", diag_procs=diag_procs), OPL)
+    cfg = cfg_for("CR", recovery_mode="nc", diag_procs=diag_procs)
+    m = run_app(cfg, OPL, kills=[Kill(last_rank_of(cfg, 3),
+                                      base.t_solve * 0.6)])
     assert m.error_l1 == pytest.approx(base.error_l1, rel=1e-12)
 
 
-def test_nc_repair_off_critical_path():
+def test_nc_repair_off_critical_path(diag_procs=2):
     """Only the failed sub-grid's communicator is rebuilt; the unaffected
     grids never stop, so the repair — which did happen, and was paid for —
     leaves the critical-path total where the baseline put it."""
-    base = run_app(cfg_for("CR"), OPL)
+    base = run_app(cfg_for("CR", diag_procs=diag_procs), OPL)
     at = base.t_solve * 0.5
-    nc = run_app(cfg_for("CR", recovery_mode="nc"), OPL, kills=[Kill(7, at)])
+    cfg = cfg_for("CR", recovery_mode="nc", diag_procs=diag_procs)
+    nc = run_app(cfg, OPL, kills=[Kill(last_rank_of(cfg, 3), at)])
     assert nc.t_reconstruct > 0.0
     assert nc.t_total == pytest.approx(base.t_total, rel=1e-3)
 
 
-def test_nc_rank_zero_failure():
-    base = run_app(cfg_for("CR"), OPL)
-    m = run_app(cfg_for("CR", recovery_mode="nc"), OPL,
-                kills=[Kill(0, base.t_solve * 0.6)])
+def test_nc_rank_zero_failure(diag_procs=2):
+    base = run_app(cfg_for("CR", diag_procs=diag_procs), OPL)
+    m = run_app(cfg_for("CR", recovery_mode="nc", diag_procs=diag_procs),
+                OPL, kills=[Kill(0, base.t_solve * 0.6)])
     assert m.failed_ranks == [0]
     assert m.lost_gids == [0]
     assert m.error_l1 == pytest.approx(base.error_l1, rel=1e-12)
 
 
-def test_nc_simultaneous_multi_grid_loss():
+def test_nc_simultaneous_multi_grid_loss(diag_procs=2):
     """Two grids repair concurrently, each inside its own communicator."""
-    base = run_app(cfg_for("CR"), OPL)
+    base = run_app(cfg_for("CR", diag_procs=diag_procs), OPL)
     at = base.t_solve * 0.6
-    m = run_app(cfg_for("CR", recovery_mode="nc"), OPL,
-                kills=[Kill(5, at), Kill(7, at)])
-    assert sorted(m.failed_ranks) == [5, 7]
+    cfg = cfg_for("CR", recovery_mode="nc", diag_procs=diag_procs)
+    victims = sorted([last_rank_of(cfg, 2), last_rank_of(cfg, 3)])
+    m = run_app(cfg, OPL, kills=[Kill(v, at) for v in victims])
+    assert sorted(m.failed_ranks) == victims
     assert sorted(m.lost_gids) == [2, 3]
     assert m.error_l1 == pytest.approx(base.error_l1, rel=1e-12)
 
 
-def test_nc_full_grid_loss_is_fatal():
+def test_nc_full_grid_loss_is_fatal(diag_procs=2):
     """Non-collective repair is rebuilt *by the survivors of the grid*;
     a grid that lost every member has none, and the failure must say so
     rather than deadlock."""
-    base = run_app(cfg_for("CR"), OPL)
+    base = run_app(cfg_for("CR", diag_procs=diag_procs), OPL)
     at = base.t_solve * 0.6
+    cfg = cfg_for("CR", recovery_mode="nc", diag_procs=diag_procs)
     with pytest.raises(Exception, match="lost every member"):
-        run_app(cfg_for("CR", recovery_mode="nc"), OPL,
-                kills=[Kill(6, at), Kill(7, at)])
+        run_app(cfg, OPL, kills=[Kill(r, at)
+                                 for r in cfg.layout().group_ranks(3)])
+
+
+def _nc_check(check, *args):
+    name = check.__name__[len("test_nc_"):]
+    return pytest.param(check, args, id="-".join((name,) + args))
+
+
+@pytest.mark.parametrize("check,args", [
+    _nc_check(test_nc_single_failure_recovers, "CR"),
+    _nc_check(test_nc_single_failure_recovers, "RC"),
+    _nc_check(test_nc_single_failure_recovers, "AC"),
+    _nc_check(test_nc_cr_error_equals_baseline),
+    _nc_check(test_nc_repair_off_critical_path),
+    _nc_check(test_nc_rank_zero_failure),
+    _nc_check(test_nc_simultaneous_multi_grid_loss),
+    _nc_check(test_nc_full_grid_loss_is_fatal),
+])
+def test_nc_on_8_rank_grids(check, args):
+    check(*args, diag_procs=8)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,42 @@ def test_shrink_works_on_revoked_comm():
     assert res == [3, 3, 3]
 
 
+async def _agree(comm):
+    return await comm.agree(1)
+
+
+async def _shrink(comm):
+    return (await comm.shrink()).size
+
+
+async def _barrier(comm):
+    await comm.barrier()
+    return "done"
+
+
+@pytest.mark.parametrize("op,kills,expect", [
+    pytest.param(_agree, [(3, 0.5)], [1, 1, 1], id="agree"),
+    pytest.param(_shrink, [(3, 0.5)], [3, 3, 3], id="shrink"),
+    pytest.param(_barrier, [], ["RevokedError"] * 4, id="barrier")])
+def test_revoke_lands_on_inflight_collective(op, kills, expect):
+    """Every rank but 0 is already waiting in ``op`` when rank 0 revokes.
+    ULFM exempts agree and shrink from revocation: they complete over the
+    survivors (rank 3 is dead by then); an ordinary collective still
+    fails with the revocation."""
+    async def main(ctx):
+        if ctx.rank == 0:
+            await ctx.compute(1.0)
+            ctx.comm.revoke()
+            await ctx.compute(1.0)
+        try:
+            return await op(ctx.comm)
+        except RevokedError:
+            return "RevokedError"
+
+    res, _ = run(4, main, kills=kills, raise_task_failures=False)
+    assert res[:len(expect)] == expect
+
+
 def test_agree_ands_flags_and_tolerates_failures():
     async def main(ctx):
         await ctx.compute(1.0)
