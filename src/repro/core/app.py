@@ -41,7 +41,7 @@ from ..ft.checkpoint import (CheckpointStats, Disk, checkpoint_interval_steps,
 # from repro.ft.strategy; they stay importable here because
 # perfbench/layers.py wraps them at this import site
 from ..ft.detection import failed_procs_list
-from ..ft.reconstruct import (PLACE_SAME_HOST, ReconstructTimers,
+from ..ft.reconstruct import (PLACE_SAME_HOST, RepairRecord,
                               communicator_reconstruct, repair_comm)
 from ..ft.recovery import (AlternateCombination, RecoveryTechnique,
                            technique_by_code)
@@ -165,7 +165,7 @@ class CombinationApp:
         #: original world rank of each current world rank: the identity
         #: until a shrink-in-place repair contracts it into a list
         self.members: Sequence[int] = range(self.layout.total_procs)
-        self.timers = ReconstructTimers()
+        self.record = RepairRecord()
         self.metrics = RunMetrics(
             technique=self.technique.code, recovery_mode=self.strategy.mode,
             machine=ctx.machine.name,
@@ -261,8 +261,12 @@ class CombinationApp:
         """Fold failed world ranks (numbered by ``layout``, default the
         current one) into the run's failure record and mark their grids
         lost."""
-        self.timers.record_failed(ranks)
+        self.record.record_failed(ranks)
         self.mark_lost((layout or self.layout).grids_of_ranks(ranks))
+
+    def span_totals(self) -> Dict[str, float]:
+        """This process's accumulated virtual seconds per span phase."""
+        return self.ctx.universe.obs.spans.actor_totals(self.ctx.proc.name)
 
     def mark_lost(self, gids) -> None:
         """Add grids to the (sorted) lost set."""
@@ -523,9 +527,9 @@ class CombinationApp:
     def _finish(self, combined):
         ctx, cfg = self.ctx, self.cfg
         m = self.metrics
-        m.absorb_timers(self.timers)
+        m.absorb_record(self.record)
         m.lost_gids = list(self.lost)
-        m.real_failures = bool(self.timers.failed_ranks)
+        m.real_failures = bool(self.record.failed_ranks)
         m.checkpoint_writes = self.cr_stats.writes
         m.checkpoint_write_time = self.cr_stats.write_time
         m.checkpoint_read_time = self.cr_stats.read_time

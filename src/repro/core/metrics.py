@@ -5,14 +5,22 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..ft.reconstruct import ReconstructTimers
+from ..ft.reconstruct import RepairRecord
+
+#: repair timing field -> the obs span phase it totals (Fig. 8 / Table I)
+REPAIR_PHASES = {"t_detect": "detect", "t_reconstruct": "reconstruct",
+                 "t_shrink": "shrink", "t_spawn": "spawn",
+                 "t_merge": "merge", "t_agree": "agree"}
 
 
 @dataclass
 class RunMetrics:
     """Everything the experiment harnesses need from one run.
 
-    All times are virtual seconds measured on world rank 0.
+    All times are virtual seconds measured on world rank 0.  The repair
+    timings (see ``REPAIR_PHASES``) are that process's own span totals;
+    under the non-collective mode the repairs ran grid-locally, so all but
+    ``t_agree`` are the max over every process's totals.
     """
 
     technique: str = ""
@@ -31,16 +39,16 @@ class RunMetrics:
     # phase timings
     t_total: float = 0.0
     t_solve: float = 0.0
-    t_detect: float = 0.0        #: failed-list creation (Fig. 8a)
-    t_reconstruct: float = 0.0   #: communicator repair (Fig. 8b)
+    t_detect: float = 0.0        #: ``detect`` spans: failed list (Fig. 8a)
+    t_reconstruct: float = 0.0   #: ``reconstruct`` spans: repair (Fig. 8b)
     t_recovery: float = 0.0      #: data recovery window (Fig. 9a)
     t_combine: float = 0.0
 
-    # per-op ULFM timings (Table I)
-    t_shrink: float = 0.0
-    t_spawn: float = 0.0
-    t_merge: float = 0.0
-    t_agree: float = 0.0
+    # per-op ULFM timings (Table I), each the total of its phase's spans
+    t_shrink: float = 0.0        #: ``shrink``: OMPI_Comm_shrink
+    t_spawn: float = 0.0         #: ``spawn``: MPI_Comm_spawn_multiple
+    t_merge: float = 0.0         #: ``merge``: Intercomm_merge + re-order
+    t_agree: float = 0.0         #: ``agree``: OMPI_Comm_agree
     reconstruct_iterations: int = 0
 
     # checkpointing (CR)
@@ -64,16 +72,15 @@ class RunMetrics:
     coefficients: Dict[Tuple[int, int], float] = field(default_factory=dict)
     combined: Optional[object] = None  # ndarray when cfg.collect_arrays
 
-    def absorb_timers(self, t: ReconstructTimers) -> None:
-        self.t_detect = t.failed_list
-        self.t_reconstruct = t.reconstruct
-        self.t_shrink = t.shrink
-        self.t_spawn = t.spawn
-        self.t_merge = t.merge
-        self.t_agree = t.agree
-        self.reconstruct_iterations = t.iterations
-        self.failed_ranks = list(t.failed_ranks)
-        self.n_failures = t.total_failed
+    def absorb_spans(self, totals: Dict[str, float]) -> None:
+        """Set the repair timings from phase -> seconds span totals."""
+        for name, phase in REPAIR_PHASES.items():
+            setattr(self, name, totals.get(phase, 0.0))
+
+    def absorb_record(self, r: RepairRecord) -> None:
+        self.reconstruct_iterations = r.iterations
+        self.failed_ranks = list(r.failed_ranks)
+        self.n_failures = r.total_failed
 
     @property
     def t_app_excl_reconstruct(self) -> float:

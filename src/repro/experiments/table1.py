@@ -1,8 +1,8 @@
 """Table I: beta Open MPI 3.1 ULFM operation wall times, two failed processes.
 
 For each core count the application is run with two real mid-computation
-kills; the reconstruction protocol's per-operation timers are read back
-from rank 0's metrics.  The sweep layout reproduces the paper's exact core
+kills; the reconstruction protocol's per-operation span totals are read
+back from rank 0's metrics.  The sweep layout reproduces the paper's exact core
 counts 19/38/76/152/304 from diagonal process counts 4/8/16/32/64.
 """
 

@@ -7,7 +7,7 @@ from .checkpoint import (CheckpointStats, Disk, FileDisk,
 from .detection import failed_procs_list, make_error_handler
 from .failure_injection import FailureGenerator, Kill
 from .reconstruct import (MERGE_TAG, PLACE_FIRST_FIT, PLACE_SAME_HOST,
-                          PLACE_SPARE, PlacementError, ReconstructTimers,
+                          PLACE_SPARE, PlacementError, RepairRecord,
                           communicator_reconstruct, repair_comm,
                           select_rank_key)
 from .recovery import (TECHNIQUES, AlternateCombination, CheckpointRestart,
@@ -20,7 +20,7 @@ from .strategy import (STRATEGIES, NonCollectiveStrategy, RecoveryStrategy,
 __all__ = [
     "failed_procs_list", "make_error_handler",
     "communicator_reconstruct", "repair_comm", "select_rank_key",
-    "ReconstructTimers", "MERGE_TAG", "PlacementError",
+    "RepairRecord", "MERGE_TAG", "PlacementError",
     "PLACE_SAME_HOST", "PLACE_SPARE", "PLACE_FIRST_FIT",
     "FailureGenerator", "Kill",
     "Disk", "FileDisk", "CheckpointStats", "write_checkpoint",

@@ -16,8 +16,10 @@ re-spawn them on the hosts they occupied before the failure (preserving
 load balance) → merge → distribute old ranks → split with the keys of
 Fig. 7.
 
-Timers for every step are recorded into a :class:`ReconstructTimers`,
-feeding the Fig. 8 / Table I experiments.
+Every step runs inside an obs span (``detect``, ``shrink``, ``spawn``,
+``merge``, ``agree``, ``reconstruct``); those spans are the only clock for
+the Fig. 8 / Table I repair timings.  A :class:`RepairRecord` keeps what
+spans cannot: the failed ranks and the loop's iteration count.
 """
 
 from __future__ import annotations
@@ -39,15 +41,10 @@ PLACE_FIRST_FIT = "first-fit"   # naive policy, for the placement ablation
 
 
 @dataclass
-class ReconstructTimers:
-    """Virtual-time measurements of one reconstruction, per Fig. 8/Table I."""
+class RepairRecord:
+    """The failure history of a run's reconstructions (its timings live in
+    the obs spans)."""
 
-    failed_list: float = 0.0      #: Fig. 8a — creating the failed-process list
-    reconstruct: float = 0.0      #: Fig. 8b — total repair time
-    shrink: float = 0.0           #: Table I  — OMPI_Comm_shrink
-    spawn: float = 0.0            #: Table I  — MPI_Comm_spawn_multiple
-    merge: float = 0.0            #: Table I  — MPI_Intercomm_merge
-    agree: float = 0.0            #: Table I  — OMPI_Comm_agree
     iterations: int = 0
     total_failed: int = 0
     failed_ranks: List[int] = field(default_factory=list)
@@ -60,15 +57,6 @@ class ReconstructTimers:
                 self.failed_ranks.append(r)
         self.failed_ranks.sort()
         self.total_failed = len(self.failed_ranks)
-
-    def charge(self, phase: str, seconds: float) -> None:
-        """Attribute ``seconds`` to one Table I phase bucket.
-
-        The retry loop calls this exactly once per phase per attempt —
-        including for the phase an attempt *aborted in* — so the timers
-        agree with the obs spans, which also close on error.
-        """
-        setattr(self, phase, getattr(self, phase) + seconds)
 
 
 class PlacementError(RuntimeError):
@@ -157,7 +145,7 @@ def _placement_hosts(universe, failed_ranks: Sequence[int],
 
 async def repair_comm(ctx, broken_comm, *, entry: Callable, argv: Sequence = (),
                       placement: str = PLACE_SAME_HOST,
-                      timers: Optional[ReconstructTimers] = None,
+                      record: Optional[RepairRecord] = None,
                       max_attempts: int = 10,
                       rank_map: Optional[Sequence[int]] = None) -> CommHandle:
     """Fig. 5: repair a broken communicator (parent side).
@@ -177,102 +165,70 @@ async def repair_comm(ctx, broken_comm, *, entry: Callable, argv: Sequence = (),
     attempt is retried from revoke+shrink — the new shrink also excludes
     the newly dead, and replacements are spawned for every failed rank,
     including dead replacements.  Children of an aborted attempt observe
-    the same error and exit (see :func:`communicator_reconstruct`).
+    the same error and exit (see :func:`communicator_reconstruct`).  The
+    spans close on error, so an aborted attempt's time stays in the phase
+    it died in.
     """
-    t = timers or ReconstructTimers()
-    wtime = ctx.wtime
+    rec = record or RepairRecord()
 
     for _attempt in range(max_attempts):
         with ctx.span("detect", attempt=_attempt):
             # the failed-process list is derived *from* the shrunk
             # communicator, so its cost includes the shrink (Fig. 8a)
             broken_comm.revoke()                             # Fig. 5 l.2
-            t0 = wtime()
             with ctx.span("shrink", attempt=_attempt):
                 shrunk = await broken_comm.shrink()          # Fig. 5 l.3
-            shrink_time = wtime() - t0
-            t.charge("shrink", shrink_time)
-
-            t0 = wtime()
             failed_ranks, total_failed = failed_procs_list(broken_comm,
                                                            shrunk)
-            t.charge("failed_list", (wtime() - t0) + shrink_time)
         placed = [rank_map[r] for r in failed_ranks] \
             if rank_map is not None else failed_ranks
-        t.record_failed(placed)
+        rec.record_failed(placed)
         host_names = _placement_hosts(ctx.universe, placed, placement)
 
-        # Each attempt charges the phase it is in when it aborts — once,
-        # into the right bucket: ``phase`` names the in-flight phase and
-        # the handler closes its timer.  (The old form charged only on
-        # success, so an attempt aborted mid-spawn vanished from the
-        # timers while its span still recorded the time, and the retry's
-        # shrink looked slower than the spans said.)
-        phase = "spawn"
-        t0 = wtime()
         try:
             with ctx.span("spawn", attempt=_attempt):
                 inter = await shrunk.spawn_multiple(         # Fig. 5 l.13
                     total_failed, entry, argv, host_names=host_names)
-            t.charge(phase, wtime() - t0)
-
-            phase = "merge"
-            t0 = wtime()
             with ctx.span("merge", attempt=_attempt):
                 unordered = await inter.merge(high=False)    # Fig. 5 l.14
-            t.charge(phase, wtime() - t0)
-
-            phase = "agree"
-            t0 = wtime()
             with ctx.span("agree", attempt=_attempt):
                 await inter.agree(1)                         # Fig. 5 l.15
-            t.charge(phase, wtime() - t0)
-
-            phase = "merge"
-            t0 = wtime()
-            shrunk_size = shrunk.size
-            # Fig. 5 l.21-23: rank 0 tells each child its old (failed) rank
-            if unordered.rank == 0:
-                for i, old_rank in enumerate(failed_ranks):
-                    await unordered.send(old_rank, dest=shrunk_size + i,
-                                         tag=MERGE_TAG)
-            # Fig. 5 l.24-25: re-order so survivors regain original ranks
-            key = select_rank_key(unordered.rank, shrunk_size, failed_ranks,
-                                  broken_comm.size)
-            repaired = await unordered.split(0, key)
-            t.charge(phase, wtime() - t0)
+            with ctx.span("merge", attempt=_attempt):
+                shrunk_size = shrunk.size
+                # Fig. 5 l.21-23: rank 0 tells each child its old rank
+                if unordered.rank == 0:
+                    for i, old_rank in enumerate(failed_ranks):
+                        await unordered.send(old_rank, dest=shrunk_size + i,
+                                             tag=MERGE_TAG)
+                # Fig. 5 l.24-25: re-order so survivors regain their ranks
+                key = select_rank_key(unordered.rank, shrunk_size,
+                                      failed_ranks, broken_comm.size)
+                repaired = await unordered.split(0, key)
             return repaired
         except MPIError:
-            # another failure mid-repair: close the aborted phase's timer
-            # and retry from revoke
-            t.charge(phase, wtime() - t0)
-            continue
+            continue  # another failure mid-repair: retry from revoke
     raise RuntimeError(f"communicator repair failed {max_attempts} times")
 
 
-async def probe_and_repair(ctx, comm, timers: ReconstructTimers,
-                           repair: Callable, **labels):
+async def probe_and_repair(ctx, comm, repair: Callable, **labels):
     """Fig. 3's detection loop: agree, probe with a barrier and, on error,
     ``comm = await repair(comm)`` — then probe again, so failures landing
-    *during* a repair are caught too.  Agreement time is charged to
-    ``timers.agree`` and each repair step to ``timers.reconstruct``;
-    ``labels`` tag the agree span.
+    *during* a repair are caught too.  Each agreement runs in an ``agree``
+    span tagged with ``labels``, and each repair step in an unlabelled
+    ``reconstruct`` span (Fig. 8b), whatever the mode.
 
     Returns ``(comm, repairs)``: the communicator that passed the probe
     and the number of repair steps it took.
     """
     repairs = 0
     while True:
-        t0 = ctx.wtime()
         with ctx.span("agree", **labels):
             await comm.agree(1)                              # Fig. 3 l.12
-        timers.charge("agree", ctx.wtime() - t0)
         try:
             await comm.barrier()                             # Fig. 3 l.13
         except MPIError:
-            t0 = ctx.wtime()
-            comm = await repair(comm)                        # Fig. 3 l.15
-            timers.charge("reconstruct", ctx.wtime() - t0)
+            with ctx.span("reconstruct"):
+                comm = await repair(comm)                    # Fig. 3 l.15
             repairs += 1
             continue
         return comm, repairs
@@ -281,7 +237,7 @@ async def probe_and_repair(ctx, comm, timers: ReconstructTimers,
 async def communicator_reconstruct(ctx, my_world, *, entry: Callable,
                                    argv: Sequence = (),
                                    placement: str = PLACE_SAME_HOST,
-                                   timers: Optional[ReconstructTimers] = None,
+                                   record: Optional[RepairRecord] = None,
                                    errhandler_sink: Optional[Callable] = None
                                    ) -> CommHandle:
     """Fig. 3: the full reconstruction loop, valid on both parents and
@@ -292,7 +248,7 @@ async def communicator_reconstruct(ctx, my_world, *, entry: Callable,
     child branch).  Loops until a barrier on the reconstructed communicator
     succeeds, so failures occurring *during* recovery are also handled.
     """
-    t = timers or ReconstructTimers()
+    rec = record or RepairRecord()
     handler = make_error_handler(errhandler_sink)
     parent = ctx.get_parent()                                # Fig. 3 l.3
     reconstructed = my_world                                 # Fig. 3 l.8
@@ -316,16 +272,15 @@ async def communicator_reconstruct(ctx, my_world, *, entry: Callable,
         joined = 1
 
     async def repair(comm):
-        with ctx.span("reconstruct"):
-            repaired = await repair_comm(ctx, comm, entry=entry, argv=argv,
-                                         placement=placement, timers=t)
+        repaired = await repair_comm(ctx, comm, entry=entry, argv=argv,
+                                     placement=placement, record=rec)
         repaired.set_errhandler(handler)                     # Fig. 3 l.11
         return repaired
 
     reconstructed.set_errhandler(handler)                    # Fig. 3 l.11
-    reconstructed, repairs = await probe_and_repair(ctx, reconstructed, t,
+    reconstructed, repairs = await probe_and_repair(ctx, reconstructed,
                                                     repair)
     # Fig. 3's iteration count: the child's join, each repair, and the
     # final clean probe
-    t.iterations = joined + repairs + 1
+    rec.iterations = joined + repairs + 1
     return reconstructed

@@ -30,7 +30,8 @@ and supplies only its own steps:
   resync, then restore and recompute to the agreed horizon;
 * ``rejoin_world(app)`` — agreement on the loss set before the
   world-collective recovery and combination phases (only the
-  non-collective mode ever leaves the world out of step).
+  non-collective mode ever leaves the world out of step), and the point
+  where the run's repair timings are read from the obs spans.
 """
 
 from __future__ import annotations
@@ -82,7 +83,10 @@ class RecoveryStrategy:
         return horizon
 
     async def rejoin_world(self, app) -> None:
-        """Agree on the loss set before the world-collective phases."""
+        """Agree on the loss set before the world-collective phases, and
+        take the repair timings from this process's span totals (no repair
+        phase runs after this point)."""
+        app.metrics.absorb_spans(app.span_totals())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.__class__.__name__}()"
@@ -98,7 +102,7 @@ class RespawnStrategy(RecoveryStrategy):
         predecessor's world rank."""
         world = await communicator_reconstruct(
             app.ctx, app.ctx.comm, entry=_app_main(), argv=(app.cfg,),
-            placement=app.cfg.placement, timers=app.timers)
+            placement=app.cfg.placement, record=app.record)
         if world is None:
             return False
         app.world = world
@@ -108,7 +112,7 @@ class RespawnStrategy(RecoveryStrategy):
     async def detect_and_repair(self, app) -> bool:
         world = await communicator_reconstruct(
             app.ctx, app.world, entry=_app_main(), argv=(app.cfg,),
-            placement=app.cfg.placement, timers=app.timers)
+            placement=app.cfg.placement, record=app.record)
         changed = world.state is not app.world.state
         app.world = world
         return changed
@@ -123,7 +127,7 @@ class RespawnStrategy(RecoveryStrategy):
         record, so a rank-0 broadcast would announce an empty loss set and
         no grid would ever restore."""
         world = app.world
-        views = await world.allgather(tuple(app.timers.failed_ranks))
+        views = await world.allgather(tuple(app.record.failed_ranks))
         app.record_failures(sorted({r for view in views for r in view}))
         app.grid_comm = await world.split(app.gid, world.rank)
         if app.solver is None:
@@ -147,20 +151,14 @@ class ShrinkInPlaceStrategy(RecoveryStrategy):
     async def detect_and_repair(self, app) -> bool:
         """World-wide detection; the repair step is revoke + shrink — no
         spawn, no merge — and the contracted world carries on."""
-        ctx, timers = app.ctx, app.timers
-        wtime = ctx.wtime
+        ctx = app.ctx
 
         async def shrink(world):
             with ctx.span("detect"):
                 world.revoke()
-                t1 = wtime()
                 with ctx.span("shrink"):
                     shrunk = await world.shrink()
-                shrink_time = wtime() - t1
-                timers.charge("shrink", shrink_time)
-                t1 = wtime()
                 failed, _ = failed_procs_list(world, shrunk)
-                timers.charge("failed_list", (wtime() - t1) + shrink_time)
             # record the dead in *original* world numbering, then contract
             # the membership map — the group difference is in current ranks
             app.record_failures([app.members[i] for i in failed],
@@ -171,8 +169,8 @@ class ShrinkInPlaceStrategy(RecoveryStrategy):
             return shrunk
 
         app.world, repairs = await probe_and_repair(
-            ctx, app.world, timers, shrink, technique=app.technique.code)
-        timers.iterations += repairs
+            ctx, app.world, shrink, technique=app.technique.code)
+        app.record.iterations += repairs
         return repairs > 0
 
     async def post_repair(self, app) -> None:
@@ -213,6 +211,9 @@ class NonCollectiveStrategy(RecoveryStrategy):
 
     mode = "nc"
 
+    #: repair phases whose span totals are max-folded over every grid
+    FOLDED_PHASES = ("reconstruct", "shrink", "spawn", "merge", "detect")
+
     def validate_config(self, cfg) -> None:
         if cfg.decomposition != "1d":
             raise ValueError(
@@ -228,7 +229,7 @@ class NonCollectiveStrategy(RecoveryStrategy):
         ctx = app.ctx
         grid = await communicator_reconstruct(
             ctx, ctx.comm, entry=_app_main(), argv=ctx.argv,
-            placement=app.cfg.placement, timers=app.timers)
+            placement=app.cfg.placement, record=app.record)
         if grid is None:
             return False
         app.gid = int(ctx.argv[2])
@@ -256,7 +257,7 @@ class NonCollectiveStrategy(RecoveryStrategy):
                 grid2 = await repair_comm(
                     ctx, grid, entry=_app_main(),
                     argv=(cfg, app.world.state, app.gid),
-                    placement=cfg.placement, timers=app.timers,
+                    placement=cfg.placement, record=app.record,
                     rank_map=rank_map)
                 for i in range(grid2.size):
                     p = grid2.state.procs[i]
@@ -266,8 +267,8 @@ class NonCollectiveStrategy(RecoveryStrategy):
             return grid2
 
         app.grid_comm, repairs = await probe_and_repair(
-            ctx, app.grid_comm, app.timers, rebuild, **labels)
-        app.timers.iterations += repairs
+            ctx, app.grid_comm, rebuild, **labels)
+        app.record.iterations += repairs
         return repairs > 0
 
     async def post_repair(self, app) -> None:
@@ -286,15 +287,18 @@ class NonCollectiveStrategy(RecoveryStrategy):
     async def rejoin_world(self, app) -> None:
         """Rejoin the world after grid-local repairs: one agreement plus an
         allgather unions every grid's locally-observed loss set — the first
-        (and only) world-collective step the non-collective mode takes."""
-        ctx, t = app.ctx, app.timers
+        (and only) world-collective step the non-collective mode takes.  The
+        same allgather carries each process's repair span totals: repairs
+        ran grid-locally, so the slowest grid's cost is adopted everywhere
+        (the wall-clock convention rank 0's metrics report)."""
+        ctx, rec = app.ctx, app.record
         world = app.world
-        t0 = ctx.wtime()
         with ctx.span("agree", technique=app.technique.code):
             await world.agree(1)
-        t.charge("agree", ctx.wtime() - t0)
-        payload = (tuple(t.failed_ranks), t.reconstruct, t.shrink, t.spawn,
-                   t.merge, t.failed_list, t.iterations)
+        totals = app.span_totals()
+        payload = (tuple(rec.failed_ranks),
+                   *(totals.get(p, 0.0) for p in self.FOLDED_PHASES),
+                   rec.iterations)
         try:
             views = await world.allgather(payload)
         except MPIError:
@@ -302,14 +306,10 @@ class NonCollectiveStrategy(RecoveryStrategy):
                 "non-collective repair cannot recover a grid that lost "
                 "every member (no survivor is left to rebuild it); use "
                 "shrink or respawn mode for full-grid losses") from None
-        # repairs ran grid-locally: adopt the slowest grid's repair costs
-        # everywhere (the wall-clock convention rank 0's metrics report)
-        t.reconstruct = max(v[1] for v in views)
-        t.shrink = max(v[2] for v in views)
-        t.spawn = max(v[3] for v in views)
-        t.merge = max(v[4] for v in views)
-        t.failed_list = max(v[5] for v in views)
-        t.iterations = max(v[6] for v in views)
+        for i, phase in enumerate(self.FOLDED_PHASES, start=1):
+            totals[phase] = max(v[i] for v in views)
+        app.metrics.absorb_spans(totals)
+        rec.iterations = max(v[-1] for v in views)
         app.record_failures(sorted({r for view in views for r in view[0]}))
 
 

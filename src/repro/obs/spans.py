@@ -109,6 +109,10 @@ class SpanRecorder:
         self.spans: List[Span] = []
         self.max_spans = max_spans
         self.dropped = 0
+        #: actor -> phase -> accumulated seconds over *every* closed span,
+        #: stored or dropped; the aggregates and ``RunMetrics``' repair
+        #: timings read these, so the ``max_spans`` bound never skews them
+        self._totals: Dict[str, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     def span(self, actor: str, phase: str, **labels) -> _OpenSpan:
@@ -118,6 +122,9 @@ class SpanRecorder:
 
     def close(self, open_span: _OpenSpan) -> Optional[Span]:
         t_end, _ = self.stamp()
+        phases = self._totals.setdefault(open_span.actor, {})
+        phases[open_span.phase] = phases.get(open_span.phase, 0.0) \
+            + (t_end - open_span.t_start)
         if len(self.spans) >= self.max_spans:
             self.dropped += 1
             return None
@@ -148,9 +155,8 @@ class SpanRecorder:
         """
         if reduce not in ("max", "sum"):
             raise ValueError(f"reduce must be 'max' or 'sum', got {reduce!r}")
-        per_actor = self.by_actor()
         totals: Dict[str, float] = {}
-        for phases in per_actor.values():
+        for phases in self._totals.values():
             for phase, dur in phases.items():
                 if reduce == "sum":
                     totals[phase] = totals.get(phase, 0.0) + dur
@@ -160,16 +166,17 @@ class SpanRecorder:
 
     def by_actor(self) -> Dict[str, Dict[str, float]]:
         """actor -> phase -> accumulated seconds."""
-        out: Dict[str, Dict[str, float]] = {}
-        for s in self.spans:
-            out.setdefault(s.actor, {})
-            out[s.actor][s.phase] = \
-                out[s.actor].get(s.phase, 0.0) + s.duration
-        return out
+        return {actor: dict(phases) for actor, phases in self._totals.items()}
+
+    def actor_totals(self, actor: str) -> Dict[str, float]:
+        """phase -> accumulated seconds for one actor."""
+        return dict(self._totals.get(actor, {}))
 
     def by_label(self, key: str) -> Dict[str, Dict[str, float]]:
         """label value -> phase -> accumulated seconds (spans lacking the
-        label are skipped); e.g. ``by_label("gid")`` for per-grid totals."""
+        label are skipped); e.g. ``by_label("gid")`` for per-grid totals.
+
+        Covers stored spans only: past ``max_spans`` it undercounts."""
         out: Dict[str, Dict[str, float]] = {}
         for s in self.spans:
             val = s.labels.get(key)

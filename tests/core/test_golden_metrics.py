@@ -17,6 +17,7 @@ import pytest
 
 from repro.core import AppConfig, run_app
 from repro.core.app import app_main
+from repro.core.metrics import REPAIR_PHASES
 from repro.core.runner import make_universe
 from repro.ft.checkpoint import Disk
 from repro.ft.failure_injection import FailureGenerator, Kill
@@ -110,6 +111,17 @@ def test_metrics_match_golden(case):
     diff = sorted(k for k in want if not same(got.get(k), want[k]))
     assert not diff, {k: (got.get(k), want[k]) for k in diff}
     assert got.keys() == want.keys()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_repair_timings_bounded_by_phase_breakdown(case):
+    """Each repair timing is rank 0's own span total of its phase, which
+    can never exceed the breakdown's max over every rank."""
+    m = GOLDEN[case]["metrics"]
+    over = {field: (m[field], m["phase_breakdown"].get(phase, 0.0))
+            for field, phase in REPAIR_PHASES.items()
+            if m[field] > m["phase_breakdown"].get(phase, 0.0)}
+    assert not over, over
 
 
 def test_fixture_covers_every_mode_and_technique():

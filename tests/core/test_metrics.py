@@ -3,19 +3,29 @@
 import pytest
 
 from repro.core.metrics import RunMetrics
-from repro.ft.reconstruct import ReconstructTimers
+from repro.ft.reconstruct import RepairRecord
+from repro.obs import SpanRecorder
 
 
 def test_absorb_timers_copies_every_field():
-    t = ReconstructTimers(failed_list=1.0, reconstruct=2.0, shrink=0.5,
-                          spawn=0.7, merge=0.1, agree=0.3, iterations=2,
-                          total_failed=2, failed_ranks=[3, 5])
+    now = [0.0]
+    spans = SpanRecorder(lambda: (now[0], 0))
+    for actor, phase, dur in [
+            ("r0", "detect", 1.0), ("r0", "reconstruct", 2.0),
+            ("r0", "shrink", 0.5), ("r0", "spawn", 0.75),
+            ("r0", "merge", 0.125), ("r0", "agree", 0.25),
+            ("r1", "merge", 8.0), ("r0", "agree", 0.25)]:
+        with spans.span(actor, phase):
+            now[0] += dur
+    t = RepairRecord(iterations=2)
+    t.record_failed([5, 3])
     m = RunMetrics()
-    m.absorb_timers(t)
+    m.absorb_spans(spans.actor_totals("r0"))
+    m.absorb_record(t)
     assert m.t_detect == 1.0
     assert m.t_reconstruct == 2.0
-    assert m.t_shrink == 0.5 and m.t_spawn == 0.7
-    assert m.t_merge == 0.1 and m.t_agree == 0.3
+    assert m.t_shrink == 0.5 and m.t_spawn == 0.75
+    assert m.t_merge == 0.125 and m.t_agree == 0.5
     assert m.reconstruct_iterations == 2
     assert m.failed_ranks == [3, 5]
     assert m.n_failures == 2

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ft import (PLACE_FIRST_FIT, PLACE_SAME_HOST, PLACE_SPARE,
-                      ReconstructTimers, communicator_reconstruct,
+                      RepairRecord, communicator_reconstruct,
                       select_rank_key)
 from repro.ft.reconstruct import PlacementError, _placement_hosts
 from repro.machine import Hostfile
@@ -44,14 +44,14 @@ def test_select_rank_key_is_order_preserving_bijection(total, failed):
 # ---------------------------------------------------------------------------
 def _reconstruct_app(record):
     async def main(ctx):
-        timers = ReconstructTimers()
+        rr = RepairRecord()
         await ctx.compute(1.0)
         world = await communicator_reconstruct(
-            ctx, ctx.comm, entry=main, argv=ctx.argv, timers=timers)
+            ctx, ctx.comm, entry=main, argv=ctx.argv, record=rr)
         # everyone computes a collective proof that ranks are usable
         total = await world.allreduce(world.rank)
         record.append((ctx.proc.name, world.rank, world.size, total,
-                       timers.total_failed))
+                       rr.total_failed))
         return (world.rank, world.size)
 
     return main
@@ -87,27 +87,32 @@ def test_no_failure_returns_original_world():
     assert all(job.results())
 
 
+def rank_totals(ctx):
+    """The calling process's span totals: phase -> virtual seconds."""
+    return ctx.universe.obs.spans.actor_totals(ctx.proc.name)
+
+
 def test_timers_populated_on_failure():
-    timers_box = {}
+    box = {}
 
     async def main(ctx):
-        t = ReconstructTimers()
+        t = RepairRecord()
         await ctx.compute(1.0)
         world = await communicator_reconstruct(ctx, ctx.comm, entry=main,
-                                               timers=t)
+                                               record=t)
         if world.rank == 0:
-            timers_box["t"] = t
+            box["t"], box["spans"] = t, rank_totals(ctx)
         return world.rank
 
     uni = Universe(OPL)
     job = uni.launch(5, main)
     uni.kill_rank(job, 3, at=0.5)
     uni.run(raise_task_failures=False)
-    t = timers_box["t"]
+    t, spans = box["t"], box["spans"]
     assert t.total_failed == 1
     assert t.failed_ranks == [3]
-    assert t.reconstruct > 0 and t.agree > 0
-    assert t.failed_list >= t.shrink
+    assert spans["reconstruct"] > 0 and spans["agree"] > 0
+    assert spans["detect"] >= spans["shrink"]
     assert t.iterations == 2  # repair + verify
 
 
@@ -253,20 +258,17 @@ def test_unknown_placement_policy_rejected():
 # ---------------------------------------------------------------------------
 def test_aborted_attempt_charges_its_inflight_phase():
     """An attempt aborted mid-repair charges the phase it died in: the
-    merge wait for a doomed replacement lands in ``timers.merge`` instead
-    of vanishing.  (The obs spans always closed on error, so before the
-    fix the timers under-reported against the span breakdown and the
-    retry's phases looked slower than they were.)"""
+    merge wait for a doomed replacement stays in rank 0's ``merge`` span
+    total instead of vanishing (spans close on error)."""
     def make_main(box):
         async def main(ctx):
             await ctx.compute(1.0)  # replacements pause before joining too
-            t = ReconstructTimers()
             world = await communicator_reconstruct(ctx, ctx.comm,
-                                                   entry=main, timers=t)
+                                                   entry=main)
             if world is None:
                 return "orphan"
             if world.rank == 0:
-                box["t"] = t
+                box["t"] = rank_totals(ctx)
             return world.rank
         return main
 
@@ -291,11 +293,12 @@ def test_aborted_attempt_charges_its_inflight_phase():
     control = run(kill_replacement=False)
     retried = run(kill_replacement=True)
     # one clean attempt: merge waits out the replacement's 1.0s startup
-    assert control.merge == pytest.approx(1.0, abs=0.05)
+    assert control["merge"] == pytest.approx(1.0, abs=0.05)
     # aborted attempt adds its 0.5s doomed wait on top of the clean retry
-    assert retried.merge == pytest.approx(1.5, abs=0.05)
+    assert retried["merge"] == pytest.approx(1.5, abs=0.05)
     # and the buckets cover the repair total — nothing vanishes
-    assert retried.merge == pytest.approx(retried.reconstruct, abs=0.05)
+    assert retried["merge"] == pytest.approx(retried["reconstruct"],
+                                             abs=0.05)
 
 
 def test_failure_during_recovery_loops_again():
@@ -303,9 +306,9 @@ def test_failure_during_recovery_loops_again():
     caught by the Fig. 3 retry loop."""
     async def main(ctx):
         await ctx.compute(1.0)
-        t = ReconstructTimers()
+        t = RepairRecord()
         world = await communicator_reconstruct(ctx, ctx.comm, entry=main,
-                                               timers=t)
+                                               record=t)
         total = await world.allreduce(1)
         return (world.rank, world.size, total, t.iterations)
 

@@ -1,17 +1,22 @@
-"""ReconstructTimers accumulation semantics."""
+"""RepairRecord accumulation semantics and the span totals behind the
+repair timings."""
 
-from repro.ft.reconstruct import ReconstructTimers
+from repro.core.metrics import RunMetrics
+from repro.ft.reconstruct import RepairRecord
+from repro.obs import SpanRecorder
 
 
 def test_defaults():
-    t = ReconstructTimers()
-    assert t.failed_list == 0.0 and t.reconstruct == 0.0
+    t = RepairRecord()
+    m = RunMetrics()
+    m.absorb_spans(SpanRecorder(lambda: (0.0, 0)).actor_totals("job0.0"))
+    assert m.t_detect == 0.0 and m.t_reconstruct == 0.0
     assert t.failed_ranks == []
     assert t.iterations == 0
 
 
 def test_independent_instances():
-    a = ReconstructTimers()
-    b = ReconstructTimers()
+    a = RepairRecord()
+    b = RepairRecord()
     a.failed_ranks.append(1)
     assert b.failed_ranks == []  # no shared mutable default

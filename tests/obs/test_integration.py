@@ -45,7 +45,8 @@ def test_real_failure_run_reports_recovery_phases():
         assert bd.get(phase, 0.0) > 0.0, f"missing phase {phase}"
     # sub-phases are bounded by their enclosing reconstruction
     assert bd["shrink"] <= bd["reconstruct"] + 1e-9
-    # span-measured shrink matches the ReconstructTimers measurement
+    # the breakdown is the max over ranks; rank 0's own span totals, which
+    # RunMetrics reports, are the same pipeline on the critical path
     assert bd["shrink"] == pytest.approx(m.t_shrink, rel=1e-6)
     assert bd["reconstruct"] == pytest.approx(m.t_reconstruct, rel=1e-6)
 

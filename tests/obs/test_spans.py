@@ -119,6 +119,27 @@ def test_max_spans_bound():
     assert rec.dropped == 3
 
 
+def test_aggregates_count_dropped_spans():
+    """Past ``max_spans`` the span list stops growing, but the per-phase
+    aggregates still cover every closed span."""
+    def fill(rec):
+        clk.now = 0.0
+        for i, (actor, phase) in enumerate([("r0", "merge"), ("r1", "merge"),
+                                            ("r0", "agree"), ("r1", "merge"),
+                                            ("r0", "merge")]):
+            with rec.span(actor, phase):
+                clk.advance(0.5 + i)
+        return rec
+
+    clk = FakeClock()
+    capped = fill(SpanRecorder(clk.stamp, max_spans=2))
+    full = fill(SpanRecorder(clk.stamp))
+    assert len(capped) == 2 and capped.dropped == 3
+    assert capped.phase_totals("max") == full.phase_totals("max")
+    assert capped.phase_totals("sum") == full.phase_totals("sum")
+    assert capped.by_actor() == full.by_actor()
+
+
 def test_span_dict_round_trip():
     s = Span("r0", "agree", 1.0, 2.5, 7, {"technique": "AC"})
     assert Span.from_dict(s.to_dict()) == s
