@@ -49,7 +49,7 @@ from ..mpi.comm import MAX
 from ..mpi.errors import MPIError
 from ..pde.advection import AdvectionProblem
 from ..pde.lax_wendroff import periodic_from_nodal
-from ..pde.norms import l1, l2, linf
+from ..pde.norms import error_norms
 from ..pde.parallel_solver import DistributedAdvectionSolver
 from ..sparsegrid.interpolation import axis_points
 from ..sparsegrid.parallel_combine import combine_on_root, scatter_samples
@@ -542,9 +542,7 @@ class CombinationApp:
         xs = axis_points(tx)
         ys = axis_points(ty)
         exact = cfg.problem.exact(xs, ys, t_end)
-        m.error_l1 = l1(combined, exact)
-        m.error_l2 = l2(combined, exact)
-        m.error_linf = linf(combined, exact)
+        m.error_l1, m.error_l2, m.error_linf = error_norms(combined, exact)
         if cfg.collect_arrays:
             m.combined = combined
         return m

@@ -23,3 +23,18 @@ def l2(a: np.ndarray, b: np.ndarray = None) -> float:
 def linf(a: np.ndarray, b: np.ndarray = None) -> float:
     d = a if b is None else a - b
     return float(np.max(np.abs(d)))
+
+
+def error_norms(a: np.ndarray, b: np.ndarray) -> tuple:
+    """``(l1, l2, linf)`` of ``a - b``, overwriting ``b`` as scratch.
+
+    One difference and one ``abs`` in ``b``'s buffer instead of a pair of
+    temporaries per norm; bit-identical to ``l1/l2/linf(a, b)`` since
+    ``|d|*|d| == d*d`` exactly.
+    """
+    d = np.subtract(a, b, out=b)
+    np.abs(d, out=d)
+    e1 = float(np.mean(d))
+    einf = float(np.max(d))
+    np.multiply(d, d, out=d)
+    return e1, float(np.sqrt(np.mean(d))), einf

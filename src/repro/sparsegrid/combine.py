@@ -3,12 +3,15 @@
 The combination is a hot path: every run ends in `combine_nodal`, and a
 sweep executes thousands of runs whose combinations share the same
 ``(source indices, target)`` shape.  :class:`CombinationPlan` therefore
-precomputes, once per shape, the stacked resampling operators (index
-open-grids and 2D bilinear weight grids, built on the memoised axis
-weights of :mod:`.interpolation`) plus a preallocated accumulation
-buffer; `combine_nodal` fetches plans from a bounded cache.  The plan
-issues every elementwise operation in the same left-to-right association
-as the original expression form, so results are bit-identical.
+precomputes, once per shape, one resampling operator per source grid
+holding only its O(n) axis index and weight vectors (owned copies of the
+memoised axis weights of :mod:`.interpolation`); `combine_nodal` fetches
+plans from a bounded cache.  The plan streams the target in cache-sized
+row blocks straight into the returned array, forming each block's
+bilinear weights on the fly, so no target-sized weight grid or buffer is
+ever held.  Every elementwise operation keeps the left-to-right
+association of the plan-free expression form, so results are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -22,18 +25,24 @@ from .interpolation import _axis_resample_weights, resample
 
 GridIx = Tuple[int, int]
 
+#: elements per row block of the streamed combination (~128 KB of
+#: float64), small enough that a block's temporaries stay in cache
+BLOCK_ELEMS = 1 << 14
+
 
 class _ResampleOp:
-    """``values`` on grid ``src`` -> resampled onto ``target``.
+    """``values`` on grid ``src`` -> resampled onto ``target``, by rows.
 
-    Precomputes what :func:`.interpolation.resample` rebuilds per call:
-    the corner index open-grids and the four 2D bilinear weight grids.
-    ``apply`` reproduces `resample`'s arithmetic expression-for-expression
-    (same broadcasts, same association) so the output is bit-identical.
+    Keeps only the O(n) axis vectors :func:`.interpolation.resample`
+    rebuilds per call: corner indices ``ix0/ix1/iy0/iy1`` and the weights
+    ``wx``, ``wy``, ``1-wx``, ``1-wy`` (owned copies, not views of the
+    shared memoised axis weights).  ``rows`` forms a block's bilinear
+    weights on the fly with `resample`'s products in its left-to-right
+    association, so the output is bit-identical.
     """
 
-    __slots__ = ("src", "shape", "_interp", "_o00", "_o10", "_o01", "_o11",
-                 "_w00", "_w10", "_w01", "_w11")
+    _VECTORS = ("_ix0", "_ix1", "_iy0", "_iy1", "_wx", "_wy", "_omx", "_omy")
+    __slots__ = ("src", "shape", "_interp") + _VECTORS
 
     def __init__(self, src: GridIx, target: GridIx):
         fx, fy = src
@@ -43,34 +52,40 @@ class _ResampleOp:
         ix0, ix1, wx = _axis_resample_weights(fx, tx)
         iy0, iy1, wy = _axis_resample_weights(fy, ty)
         self._interp = bool(wx.any() or wy.any())
-        self._o00 = np.ix_(ix0, iy0)
+        self._ix0 = ix0.copy()
+        self._iy0 = iy0.copy()
         if self._interp:
-            self._o10 = np.ix_(ix1, iy0)
-            self._o01 = np.ix_(ix0, iy1)
-            self._o11 = np.ix_(ix1, iy1)
-            wxc = wx[:, None]
-            wyc = wy[None, :]
-            self._w00 = (1 - wxc) * (1 - wyc)
-            self._w10 = wxc * (1 - wyc)
-            self._w01 = (1 - wxc) * wyc
-            self._w11 = wxc * wyc
-            for w in (self._w00, self._w10, self._w01, self._w11):
-                w.flags.writeable = False
+            self._ix1 = ix1.copy()
+            self._iy1 = iy1.copy()
+            self._wx = wx[:, None].copy()
+            self._wy = wy[None, :].copy()
+            self._omx = 1 - self._wx
+            self._omy = 1 - self._wy
+        for name in self._VECTORS:
+            if hasattr(self, name):     # ops are shared cache entries
+                getattr(self, name).flags.writeable = False
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """A fresh array holding ``values`` resampled onto the target."""
+    def check(self, values: np.ndarray) -> None:
+        """Raise ``ValueError`` unless ``values`` lies on grid ``src``."""
         if values.shape != self.shape:
             raise ValueError(
                 f"values shape {values.shape} does not match index "
                 f"{self.src}")
-        v00 = values[self._o00]
+
+    def rows(self, values: np.ndarray, r0: int, r1: int) -> np.ndarray:
+        """Target rows ``r0:r1`` of ``values`` resampled (a fresh array)."""
+        x0 = values[self._ix0[r0:r1]]
+        v00 = x0[:, self._iy0]
         if not self._interp:
             return v00
-        v10 = values[self._o10]
-        v01 = values[self._o01]
-        v11 = values[self._o11]
-        return (self._w00 * v00 + self._w10 * v10 +
-                self._w01 * v01 + self._w11 * v11)
+        x1 = values[self._ix1[r0:r1]]
+        v10 = x1[:, self._iy0]
+        v01 = x0[:, self._iy1]
+        v11 = x1[:, self._iy1]
+        wx, omx = self._wx[r0:r1], self._omx[r0:r1]
+        wy, omy = self._wy, self._omy
+        return (omx * omy * v00 + wx * omy * v10 +
+                omx * wy * v01 + wx * wy * v11)
 
 
 @lru_cache(maxsize=32)
@@ -81,30 +96,29 @@ def _resample_op(src: GridIx, target: GridIx) -> _ResampleOp:
 class CombinationPlan:
     """Precomputed combination for one ``(sources, target)`` shape.
 
-    Holds one :class:`_ResampleOp` per source index plus two preallocated
-    target-shaped buffers (accumulator and per-term scratch), so the
-    accumulation allocates only the returned array.  Coefficients stay a
-    per-call input — the AC technique changes them with every lost-grid
-    set while the operator shapes stay fixed.
+    Holds one :class:`_ResampleOp` per source index and nothing
+    target-sized: `combine` streams the target in blocks of about
+    :data:`BLOCK_ELEMS` elements, so every temporary stays cache-sized and
+    the returned array is the only target-sized allocation.  Coefficients
+    stay a per-call input — the AC technique changes them with every
+    lost-grid set while the operator shapes stay fixed.
     """
 
     def __init__(self, sources: Tuple[GridIx, ...], target: GridIx):
         self.sources = tuple(sources)
         self.target = target
         self._ops = {ix: _resample_op(ix, target) for ix in self.sources}
-        shape = ((1 << target[0]) + 1, (1 << target[1]) + 1)
-        self._acc = np.empty(shape)
-        self._term = np.empty(shape)
+        self.shape = ((1 << target[0]) + 1, (1 << target[1]) + 1)
 
     def combine(self, parts: Dict[GridIx, np.ndarray],
                 coeffs: Dict[GridIx, float]) -> np.ndarray:
         """``sum_k c_k P_target(u_k)`` — returns an owned array.
 
-        Mirrors the pre-plan loop exactly: iterate ``coeffs`` in order,
-        skip zero coefficients, require a part for every non-zero one.
+        Mirrors the plan-free loop exactly: iterate ``coeffs`` in order,
+        skip zero coefficients, require a part for every non-zero one;
+        each row block is accumulated term by term in that order.
         """
-        acc = self._acc
-        first = True
+        terms = []
         for ix, c in coeffs.items():
             if c == 0.0:
                 continue
@@ -114,16 +128,21 @@ class CombinationPlan:
             op = self._ops.get(ix)
             if op is None:      # coefficient outside the planned sources
                 op = _resample_op(ix, self.target)
-            term = op.apply(parts[ix])
-            if first:
-                np.multiply(term, c, out=acc)
-                first = False
-            else:
-                np.multiply(term, c, out=self._term)
-                acc += self._term
-        if first:
+            op.check(parts[ix])
+            terms.append((c, op, parts[ix]))
+        if not terms:
             raise ValueError("no non-zero coefficients")
-        return acc.copy()
+        out = np.empty(self.shape)
+        nrows, ncols = self.shape
+        step = max(1, BLOCK_ELEMS // ncols)
+        (c0, op0, v0), rest = terms[0], terms[1:]
+        for r0 in range(0, nrows, step):
+            r1 = min(r0 + step, nrows)
+            acc = out[r0:r1]
+            np.multiply(op0.rows(v0, r0, r1), c0, out=acc)
+            for c, op, values in rest:
+                acc += c * op.rows(values, r0, r1)
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -137,7 +156,8 @@ def combination_plan(sources, target: GridIx) -> CombinationPlan:
 
 
 def clear_plan_caches() -> None:
-    """Drop the plan/operator caches (tests, or to release the buffers)."""
+    """Drop the plan/operator caches (tests, or to release the O(n) axis
+    vectors the cached operators hold)."""
     _plan.cache_clear()
     _resample_op.cache_clear()
 

@@ -8,8 +8,10 @@ needs it — samples of the combined solution are scattered back.
 
 The root-side combination goes through :func:`.combine.combine_nodal`
 and therefore reuses the cached :class:`.combine.CombinationPlan` for
-its ``(sources, target)`` shape — across a sweep the stacked resampling
-operators are built once per shape, not once per run.
+its ``(sources, target)`` shape — across a sweep the per-source axis
+index and weight vectors are built once per shape, not once per run, and
+the combination streams the target in cache-sized row blocks, so the
+root holds no target-sized weight grid or scratch buffer.
 """
 
 from __future__ import annotations

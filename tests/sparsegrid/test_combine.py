@@ -180,3 +180,132 @@ def test_plan_handles_coefficient_outside_planned_sources():
     from repro.sparsegrid import combine_nodal_reference
     ref = combine_nodal_reference(parts, {(3, 3): 1.0, (2, 2): -1.0}, (4, 4))
     assert np.array_equal(out, ref)
+
+
+# ----------------------------------------------------------------------
+# the row-block streamed combination
+# ----------------------------------------------------------------------
+
+def _random_parts(coeffs, seed=0):
+    rng = np.random.default_rng(seed)
+    return {ix: rng.standard_normal(((1 << ix[0]) + 1, (1 << ix[1]) + 1))
+            for ix in coeffs}
+
+
+def _classic_coeffs(n, level=4):
+    return {g.index: g.coeff for g in CombinationScheme(n, level).grids}
+
+
+def _block_rows(target):
+    from repro.sparsegrid.combine import BLOCK_ELEMS
+    return max(1, BLOCK_ELEMS // ((1 << target[1]) + 1))
+
+
+def _assert_blocked_matches_reference(coeffs, target, seed=0):
+    from repro.sparsegrid import combine_nodal_reference
+    parts = _random_parts(coeffs, seed)
+    ref = combine_nodal_reference(parts, coeffs, target)
+    out = combine_nodal(parts, coeffs, target)
+    assert out.dtype == ref.dtype
+    assert np.array_equal(out, ref)  # exact, not allclose
+
+
+def test_blocked_rows_not_a_multiple_of_block_rows():
+    target = (8, 8)
+    rows = (1 << target[0]) + 1
+    assert rows % _block_rows(target) != 0
+    _assert_blocked_matches_reference(_classic_coeffs(9), target)
+
+
+def test_blocked_target_narrower_than_one_block():
+    from repro.sparsegrid.combine import BLOCK_ELEMS
+    target = (4, 4)
+    assert ((1 << 4) + 1) ** 2 < BLOCK_ELEMS
+    _assert_blocked_matches_reference(_classic_coeffs(6), target)
+
+
+def test_blocked_target_with_more_rows_than_one_block():
+    target = (10, 9)
+    assert (1 << target[0]) + 1 > 3 * _block_rows(target)
+    _assert_blocked_matches_reference(_classic_coeffs(10), target)
+
+
+@pytest.mark.parametrize("target", [(11, 8), (7, 6)])
+def test_blocked_non_square_targets(target):
+    # n=9 sources are restricted along some axes and prolongated along
+    # others onto either target
+    _assert_blocked_matches_reference(_classic_coeffs(9), target, seed=1)
+
+
+def test_blocked_coefficient_outside_planned_sources():
+    from repro.sparsegrid import combination_plan, combine_nodal_reference
+    target = (9, 8)
+    assert (1 << target[0]) + 1 > _block_rows(target)
+    plan = combination_plan([(7, 3)], target)
+    coeffs = {(7, 3): 1.0, (3, 7): 1.0, (3, 3): -1.0}
+    parts = _random_parts(coeffs, seed=2)
+    ref = combine_nodal_reference(parts, coeffs, target)
+    assert np.array_equal(plan.combine(parts, coeffs), ref)
+
+
+@pytest.mark.parametrize("src,target", [
+    ((3, 5), (6, 6)), ((6, 6), (3, 5)), ((7, 2), (4, 6)), ((4, 4), (4, 4)),
+])
+def test_resample_op_full_grid_matches_resample(src, target):
+    from repro.sparsegrid import resample
+    from repro.sparsegrid.combine import _ResampleOp
+    values = _random_parts({src: 1.0}, seed=3)[src]
+    op = _ResampleOp(src, target)
+    out = op.rows(values, 0, (1 << target[0]) + 1)
+    assert np.array_equal(out, resample(values, src, target))
+
+
+def test_combine_peak_memory_bounded_by_target():
+    """One combine allocates its result and cache-sized blocks, not
+    target-sized weight grids or scratch buffers."""
+    import tracemalloc
+    from repro.sparsegrid.combine import clear_plan_caches
+    target = (10, 10)
+    coeffs = _classic_coeffs(10)
+    parts = _random_parts(coeffs)
+    clear_plan_caches()
+    tracemalloc.start()
+    try:
+        out = combine_nodal(parts, coeffs, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * out.nbytes, (peak, out.nbytes)
+
+
+def _reachable_arrays(obj, seen=None):
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    else:
+        children = list(getattr(obj, "__dict__", {}).values())
+        for name in getattr(type(obj), "__slots__", ()):
+            if hasattr(obj, name):
+                children.append(getattr(obj, name))
+    for child in children:
+        yield from _reachable_arrays(child, seen)
+
+
+def test_plan_retains_nothing_larger_than_a_target_row():
+    from repro.sparsegrid import combination_plan
+    target = (10, 10)
+    coeffs = _classic_coeffs(10)
+    sources = [ix for ix, c in coeffs.items() if c != 0.0]
+    plan = combination_plan(sources, target)
+    row_bytes = ((1 << target[1]) + 1) * np.dtype(np.float64).itemsize
+    arrays = list(_reachable_arrays(plan))
+    assert arrays  # the ops' axis vectors are found
+    assert max(a.nbytes for a in arrays) <= row_bytes
