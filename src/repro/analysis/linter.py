@@ -123,7 +123,7 @@ SEVERITY: Dict[str, str] = {
 #: exception names whose handlers count as *failure handlers* (ULF004)
 _FAILURE_EXCEPTS = {"MPIError", "ProcFailedError", "RevokedError",
                     "CommInvalidError", "TaskFailedError"}
-#: collectives that block on every member and die with it (RvKind.NORMAL)
+#: collectives that block on every member and die with it (NORMAL rounds)
 _BLOCKING_COLLECTIVES = {"barrier", "bcast", "reduce", "allreduce",
                          "gather", "allgather", "scatter", "alltoall",
                          "scan", "exscan", "gatherv", "scatterv",

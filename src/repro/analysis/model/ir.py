@@ -108,7 +108,7 @@ OP_KINDS = frozenset({
 })
 
 #: fault-tolerant rendezvous: complete over the survivors, legal on
-#: revoked communicators (the simulator's RvKind.SURVIVOR ops)
+#: revoked communicators (the simulator's SURVIVOR-kind rounds)
 FT_OPS = frozenset({"agree", "shrink"})
 
 #: kinds that rendezvous (block on other members)

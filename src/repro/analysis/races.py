@@ -12,9 +12,9 @@ Two independent tools live here:
 
 * :func:`format_wait_for_graph` — given the blocked tasks of a
   :class:`~repro.simkernel.errors.DeadlockError`, reconstructs who waits on
-  whom (via the ``waits_for`` annotations the MPI layer leaves on its
-  futures) and renders the wait-for graph including any cycle.  The engine
-  attaches this to the deadlock message.
+  whom (from the message boards and the open collective rounds) and
+  renders the wait-for graph including any cycle.  The engine attaches
+  this to the deadlock message.
 
 Happens-before edges used by the vector clocks:
 
@@ -22,8 +22,8 @@ Happens-before edges used by the vector clocks:
 2. send -> matching receive (matched FIFO per (comm, src, dst, tag),
    mirroring the simulator's eager matching);
 3. collective completion: every participant's next event happens after all
-   arrivals of that rendezvous (the k-th collective call of each member of
-   a communicator joins one rendezvous, per channel, like the engine).
+   arrivals of that round (the k-th collective call of each member of a
+   communicator joins one round, per channel, like the engine).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class _VC(dict):
 
 
 class _CollGroup:
-    """Accumulates arrival clocks of one rendezvous; the join is applied
+    """Accumulates arrival clocks of one round; the join is applied
     to each participant's *next* event (by then all arrivals are in)."""
 
     __slots__ = ("acc",)
@@ -70,7 +70,7 @@ class _CollGroup:
 
 
 def _channel_of(op: str) -> str:
-    # agree/shrink rendezvous on their own channels, like the simulator
+    # agree/shrink rounds run on their own channels, like the simulator
     return op if op in ("agree", "shrink") else "coll"
 
 
@@ -100,7 +100,7 @@ def compute_vector_clocks(parsed: List[ParsedEvent]) -> Dict[int, _VC]:
                 vc.join(send_vc)
         elif ev.kind == "coll" and ev.comm is not None and ev.op is not None:
             # bridge-local agrees (parent vs child side) are distinct
-            # rendezvous we cannot tell apart from the trace: treat them
+            # rounds we cannot tell apart from the trace: treat them
             # as local events rather than inventing cross-side ordering.
             if not (ev.op == "agree" and ev.comm.endswith(".bridge")):
                 chan = _channel_of(ev.op)
@@ -216,33 +216,23 @@ def _blockers(task, info) -> List[Tuple[object, str]]:
             if _task_of(p) is not None:
                 out.append((_task_of(p), reason))
     elif kind == "coll":
-        rv = info["rv"]
-        reason = f"{info['op']} on {state.name}"
-        for m in rv.members:
-            if m.uid not in rv.arrivals and not m.dead \
-                    and _task_of(m) is not None:
-                out.append((_task_of(m), reason))
-    elif kind == "batchcoll":
         rnd = info["rnd"]
         reason = f"{info['op']} on {state.name}"
-        arrived = set(rnd.arrived)
-        for r, p in enumerate(state.procs):
-            if r not in arrived and not p.dead and _task_of(p) is not None:
+        for p, t in zip(rnd.owner.members, rnd.times):
+            if t is None and not p.dead and _task_of(p) is not None:
                 out.append((_task_of(p), reason))
     return out
 
 
 def _reconstruct_waits_for(task, fut) -> Optional[dict]:
-    """Rebuild the wait info for an unannotated future.
+    """What a blocked task's future waits for, from the runtime registries.
 
-    With ``Universe(diagnostics=False)`` the MPI layer skips the per-call
-    ``waits_for`` bookkeeping, so at deadlock time we search the runtime
-    registries instead: a future blocked in a receive is referenced by
-    exactly one :class:`~repro.mpi.matching.PendingRecv` on some
-    communicator's message board, and a future blocked in a collective is
-    referenced by exactly one open rendezvous arrival.  Both searches walk
-    only this process's communicators — cold-path work paid once per
-    deadlock, never per message.
+    A future blocked in a receive is referenced by exactly one
+    :class:`~repro.mpi.matching.PendingRecv` on some communicator's message
+    board, and a future blocked in a collective is the shared future of
+    exactly one open round.  Both searches walk only this process's
+    communicators — cold-path work paid once per deadlock, never per
+    message.
     """
     proc = task.meta.get("proc")
     if proc is None:
@@ -259,40 +249,26 @@ def _reconstruct_waits_for(task, fut) -> Optional[dict]:
                             if hasattr(state, "group_a"):  # intercomm
                                 info["inter"] = True
                             return info
-        rtable = getattr(state, "rtable", None)
-        if rtable is not None:
-            for rv in getattr(rtable, "open", {}).values():
-                entry = rv.arrivals.get(proc.uid)
-                if entry is not None and entry[3] is fut:
-                    return {"kind": "coll", "op": rv.op_name,
-                            "state": state, "rv": rv}
-        batch = getattr(state, "batch", None)
-        if batch is not None:
-            # batch fast path: every parked rank of an open round waits on
-            # the round's single shared future
-            for op, rnd in getattr(batch, "open", {}).items():
+        for engine in getattr(state, "engines", ()):
+            # every parked rank of an open round waits on its one future
+            for rnd in engine.open.values():
                 if rnd.fut is fut:
-                    return {"kind": "batchcoll", "op": op,
-                            "state": state, "rnd": rnd}
+                    return {"kind": "coll", "op": rnd.op, "state": state,
+                            "rnd": rnd}
     return None
 
 
 def build_wait_for_graph(blocked_tasks) -> Dict[object, List[Tuple[object, str]]]:
     """Map each blocked task to the tasks it is waiting on (with reasons).
 
-    Dependencies come from the ``waits_for`` annotations the MPI layer
-    sets on its futures when ``Universe(diagnostics=True)``; without
-    annotations they are reconstructed from the message boards and open
-    rendezvous.  Tasks whose dependency cannot be determined either way
-    appear with an empty dependency list.
+    Dependencies are reconstructed from the message boards and the open
+    collective rounds; tasks whose dependency cannot be determined appear
+    with an empty dependency list.
     """
     graph: Dict[object, List[Tuple[object, str]]] = {}
     for task in blocked_tasks:
-        fut = task.waiting_on
-        info = getattr(fut, "waits_for", None)
         try:
-            if info is None:
-                info = _reconstruct_waits_for(task, fut)
+            info = _reconstruct_waits_for(task, task.waiting_on)
             if info is None:
                 graph[task] = []
                 continue

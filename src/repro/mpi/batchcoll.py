@@ -1,59 +1,69 @@
-"""Batch-vectorised fast path for failure-free collective rounds.
+"""The collective engine: every collective round, healthy or failing.
 
-The event-path cost of a collective is dominated by per-rank machinery:
-one :class:`~repro.mpi.collectives.Rendezvous` arrival (with an O(members)
-dead-member scan per arrival — O(N²) per round), one future, and one resume
-event per rank.  On a healthy communicator all of that is redundant: every
-live rank joins the *same* round, the round completes at the last arrival,
-and every participant resumes at ``latest_arrival + cost``.
+Collective calls are matched by *call order*: the ``k``-th call of each
+member on one channel joins round ``k``.  Ordinary collectives share the
+``"coll"`` channel, matching MPI's same-order rule.  The ULFM operations
+agree and shrink each have their own channel: their fault-tolerant
+consensus is independent of the regular collective stream, which is what
+makes the paper's differing parent/child call orders (Fig. 3 l.21-22 vs
+Fig. 5 l.14-15) legal.
 
-:class:`BatchCollectives` exploits exactly that.  Ranks contribute into a
-preallocated per-round value row; the last arriver finishes the round with
-one fold/clone pass and wakes all parked ranks through a single
-``_EV_BATCH`` engine event (see ``Engine.schedule_future_batch``).  Rounds,
-their futures and their contribution buffers are slot-reused via a free
-list, so steady-state rounds allocate almost nothing.
+A round keeps one contribution and one arrival time per member, indexed by
+rank through the communicator's member list.  Re-admitting a replacement
+process at a rank (the non-collective repair) therefore needs no patching:
+the replacement takes over the rank's slot in every open round and the
+rank's call counts.  When the last needed rank arrives, the op's
+completion function computes every rank's result in one pass, and a single
+batched engine event (``Engine.schedule_future_batch``) wakes every parked
+rank at ``latest live arrival + cost``.  Rounds, their futures and their
+rows are reused through a free list, so a steady stream of rounds
+allocates almost nothing.
 
-Bit-identity with the event path is the design invariant, not an
-aspiration; every rule below mirrors a specific event-path behaviour:
+Result rules:
 
-* **fold order** — reductions fold left-to-right in rank order, skipping
-  ``None`` contributions, exactly like the event finishers.  No numpy
-  pairwise reductions (they change float rounding).
-* **result aliasing** — results are cloned at *completion time* (root keeps
-  its original object for bcast/reduce/gather, exactly like the event
-  finishers), never shared mutably across ranks.
-* **timing** — completion at ``last_arrival + cost`` with the identical
-  ``cost_fn`` inputs (max contribution nbytes; ``barrier_cost`` for
-  barrier).
-* **failure parity** — a member death while a round is open dooms it with
-  the *same* :class:`ProcFailedError` (message included, via
-  :func:`~repro.mpi.collectives.doom_exception`) at ``death + detect``;
-  ranks that reach the doomed round later receive the original exception at
-  ``their_now + detect``, mirroring ``Rendezvous.arrive`` on a doomed
-  rendezvous.  Revocation dooms open rounds with the shared
-  ``RevokedError`` instance at ``revoke + detect``, mirroring
-  ``RendezvousTable.doom_all``.
-* **fallback** — any condition the fast path does not model (dead members,
-  revoked communicator, diagnostics mode, an attached tracer, SURVIVOR-kind
-  ops, the long-tail ops) declines the join and the caller takes the event
-  path.  Both paths consume exactly one ``next_op_index`` per call, so a
-  program may freely alternate between them and collective matching stays
-  aligned across ranks.
+* **fold order** — reductions fold left to right in rank order, skipping
+  ``None`` contributions.  No numpy pairwise reductions: they change float
+  rounding.
+* **aliasing** — results are cloned at completion, never shared mutably
+  across ranks; the root of bcast/reduce/gather keeps its own objects.
+* **malformed calls** (e.g. scatter with the wrong number of items) fail
+  on every participant at the instant the round completes.
+* **cost** — the data ops cost ``collective_cost(size, max nbytes)`` over
+  the contributions; the others are priced when the round opens, so
+  agree and shrink cost what the failures seen by the first arriver say.
+
+Failure rules (ULFM):
+
+* **NORMAL** rounds (every op but agree and shrink) are doomed by a dead
+  member.  A round opened while members are dead fails at once, naming
+  all of them; a member dying while a round is open dooms it, naming that
+  member.  Parked ranks get the :class:`ProcFailedError` at ``death +
+  detect``; ranks reaching a doomed round later get the same exception at
+  their own ``now + detect``.
+* **SURVIVOR** rounds (agree, shrink) complete among the live members: a
+  death drops the dead member's contribution and may complete the round,
+  and the completion time counts live arrivals only.
+* **revocation** dooms every open NORMAL round with one shared
+  ``RevokedError`` at ``revoke + detect``; SURVIVOR rounds are exempt.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+import operator
+from collections import defaultdict
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .collectives import doom_exception
 from .datatypes import _IMMUTABLE_TYPES, clone_payload
-from .errors import RankError
+from .errors import UNDEFINED, MPIError, ProcFailedError, RankError
+
+#: the ULFM fault-tolerant ops: their own channels, completion among the
+#: survivors, exempt from revocation
+SURVIVOR_OPS = frozenset({"agree", "shrink"})
 
 #: result delivery shapes (int tags, compared with ``==`` in ``take``)
 _SHARED = 0      # every rank reads ``result`` (immutable -> sharing is safe)
 _ROOT_ONLY = 1   # root reads ``result``; everyone else gets None
-_PER_RANK = 2    # rank i reads ``per_rank[i]`` (clones made at completion)
+_PER_RANK = 2    # rank i reads ``result[i]`` (clones made at completion)
 
 #: identity-keyed substitutions of the comm module's reduction lambdas by
 #: their C-level equivalents (populated by :mod:`repro.mpi.comm` at import
@@ -62,36 +72,39 @@ _PER_RANK = 2    # rank i reads ``per_rank[i]`` (clones made at completion)
 FAST_OPS: Dict[Callable, Callable] = {}
 
 
-class _Round:
-    """One open (or draining) batch collective round."""
+def doom_exception(op_name: str, ranks: tuple) -> ProcFailedError:
+    """The uniform collective-failure error."""
+    return ProcFailedError(
+        f"collective {op_name} failed: dead ranks {ranks}",
+        failed_ranks=ranks)
 
-    __slots__ = ("owner", "fut", "op", "idx", "reduce_op", "root",
-                 "values", "arrived", "n", "max_nbytes", "kind", "result",
-                 "per_rank", "reads")
+
+class _Round:
+    """One open (or draining) collective round."""
+
+    __slots__ = ("owner", "fut", "op", "survivor", "arg", "root", "cost",
+                 "values", "times", "n", "max_nbytes", "shape", "result",
+                 "reads")
 
     def __init__(self, owner: "BatchCollectives"):
         self.owner = owner
         self.fut = owner.engine.create_future()
         self.values: List[Any] = [None] * owner.size
-        #: ranks that have joined, in arrival order (barrier contributions
-        #: are None, so ``values`` cannot double as the arrival record; the
-        #: deadlock explainer needs this to name the missing ranks)
-        self.arrived: List[int] = []
+        #: arrival time per rank, None until the rank arrives (barrier
+        #: contributions are None, so ``values`` cannot record arrival)
+        self.times: List[Optional[float]] = [None] * owner.size
         self.n = 0
         self.max_nbytes = 0
-        self.result = None
-        self.per_rank: Optional[List[Any]] = None
-        self.reads = 0
 
     def take(self, rank: int):
         """This rank's result; recycles the round once every rank has read."""
-        kind = self.kind
-        if kind == _SHARED:
+        shape = self.shape
+        if shape == _SHARED:
             out = self.result
-        elif kind == _ROOT_ONLY:
+        elif shape == _ROOT_ONLY:
             out = self.result if rank == self.root else None
         else:
-            out = self.per_rank[rank]
+            out = self.result[rank]
         n = self.reads - 1
         self.reads = n
         if n == 0:
@@ -100,8 +113,8 @@ class _Round:
 
 
 class _DoomedJoin:
-    """Join result for a rank arriving after its round was doomed — carries
-    only the pre-failed future (``take`` is never reached)."""
+    """Join result for a rank reaching an already-doomed round: carries only
+    the failed future (``take`` is never reached)."""
 
     __slots__ = ("fut",)
 
@@ -109,9 +122,8 @@ class _DoomedJoin:
         self.fut = fut
 
 
-def _fold(values: List[Any], op: Callable):
-    """Left fold in rank order, skipping ``None`` contributions —
-    bit-identical to the event path's reduce/allreduce finisher loop."""
+def _fold(values: Sequence[Any], op: Callable):
+    """Left fold in rank order, skipping ``None`` contributions."""
     op = FAST_OPS.get(op, op)
     acc = None
     for v in values:
@@ -121,31 +133,218 @@ def _fold(values: List[Any], op: Callable):
     return acc
 
 
+def _shared_or_clones(value, size: int, keep: int = -1):
+    """One shared immutable result, or a private clone per rank (rank
+    ``keep`` gets the original object)."""
+    if type(value) in _IMMUTABLE_TYPES:
+        return _SHARED, value
+    return _PER_RANK, [value if i == keep else clone_payload(value)
+                       for i in range(size)]
+
+
+# ----------------------------------------------------------------------
+# completion functions: (engine, round) -> (shape, result)
+# ----------------------------------------------------------------------
+def _barrier(e, r):
+    return _SHARED, None
+
+
+def _bcast(e, r):
+    return _shared_or_clones(r.values[r.root], e.size, keep=r.root)
+
+
+def _gather(e, r):
+    return _ROOT_ONLY, list(r.values)
+
+
+def _allgather(e, r):
+    ordered = list(r.values)
+    return _PER_RANK, [clone_payload(ordered) for _ in range(e.size)]
+
+
+def _scatter(e, r):
+    items = r.values[r.root]
+    if items is None or len(items) != e.size:
+        raise RankError(f"scatter root must supply {e.size} items")
+    return _PER_RANK, [clone_payload(items[i]) for i in range(e.size)]
+
+
+def _reduce(e, r):
+    return _ROOT_ONLY, _fold(r.values, r.arg)
+
+
+def _allreduce(e, r):
+    return _shared_or_clones(_fold(r.values, r.arg), e.size)
+
+
+def _scan(e, r, exclusive=False):
+    op = FAST_OPS.get(r.arg, r.arg)
+    acc, out = None, []
+    for v in r.values:
+        if v is None:
+            out.append(None)
+            continue
+        if exclusive:
+            out.append(None if acc is None else clone_payload(acc))
+        acc = v if acc is None else op(acc, v)
+        if not exclusive:
+            out.append(clone_payload(acc))
+    return _PER_RANK, out
+
+
+def _exscan(e, r):
+    return _scan(e, r, exclusive=True)
+
+
+def _reduce_scatter(e, r):
+    op = FAST_OPS.get(r.arg, r.arg)
+    out = []
+    for i in range(e.size):
+        acc = None
+        for contrib in r.values:
+            acc = contrib[i] if acc is None else op(acc, contrib[i])
+        out.append(clone_payload(acc))
+    return _PER_RANK, out
+
+
+def _alltoall(e, r):
+    return _PER_RANK, [[clone_payload(v[i]) for v in r.values]
+                       for i in range(e.size)]
+
+
+def _split(e, r):
+    from .comm import CommState
+    state = e.state
+    by_color: Dict[int, list] = defaultdict(list)
+    for i, (color, key) in enumerate(r.values):
+        if color is not None and color != UNDEFINED:
+            by_color[color].append((key, i))
+    out: List[Any] = [None] * e.size
+    for color, entries in sorted(by_color.items()):
+        entries.sort()
+        new_state = CommState(state.universe,
+                              [e.members[i] for _k, i in entries],
+                              name=f"{state.name}.split{color}")
+        for _k, i in entries:
+            out[i] = new_state
+    return _PER_RANK, out
+
+
+def _spawn_multiple(e, r):
+    count, entry, argv, host_names = r.arg
+    universe = e.state.universe
+    # children begin at the round's completion time
+    return _SHARED, universe.create_spawned_job(
+        e.state, count, entry, argv, host_names,
+        start_at=e.engine.now + r.cost)
+
+
+def _shrink(e, r):
+    from .comm import CommState
+    state = e.state
+    return _SHARED, CommState(state.universe,
+                              [p for p in e.members if not p.dead],
+                              name=f"{state.name}.shrunk")
+
+
+def _agree(e, r):
+    return _SHARED, _fold(r.values, operator.and_)
+
+
+def _merge(e, r):
+    from .comm import CommState
+    state = e.state
+    n_a = len(state.group_a)
+    a_flags = {bool(v) for v in r.values[:n_a]}
+    b_flags = {bool(v) for v in r.values[n_a:]}
+    if len(a_flags) > 1 or len(b_flags) > 1 or a_flags == b_flags:
+        raise RankError(
+            f"inconsistent high flags in intercomm merge: "
+            f"a={a_flags}, b={b_flags}")
+    low, high = (state.group_a, state.group_b) if a_flags == {False} \
+        else (state.group_b, state.group_a)
+    return _SHARED, CommState(state.universe, list(low) + list(high),
+                              name=f"{state.name}.merged")
+
+
+# ----------------------------------------------------------------------
+# prices of the ops not priced by their contributions' size
+# ----------------------------------------------------------------------
+def _agree_cost(e, r):
+    n_failed = len(e.dead)
+    if n_failed == 0:
+        # failure-free agreement: a handful of ordinary collective rounds
+        return 4.0 * e.machine.collective_cost(e.size, 8)
+    return e.machine.ulfm.agree(e.size, n_failed)
+
+
+def _shrink_cost(e, r):
+    n_failed = len(e.dead)
+    if n_failed == 0:
+        # failure-free shrink is just a communicator duplication: price
+        # it like a split rather than charging the 1-failure ULFM curve
+        return e.machine.collective_cost(e.size, 16)
+    return e.machine.ulfm.shrink(e.size, n_failed)
+
+
+#: op name -> (completion function, price at open or None for data ops)
+_OPS: Dict[str, tuple] = {
+    "barrier": (_barrier, lambda e, r: e.machine.barrier_cost(e.size)),
+    "bcast": (_bcast, None),
+    "gather": (_gather, None),
+    "allgather": (_allgather, None),
+    "scatter": (_scatter, None),
+    "reduce": (_reduce, None),
+    "allreduce": (_allreduce, None),
+    "scan": (_scan, None),
+    "exscan": (_exscan, None),
+    "reduce_scatter": (_reduce_scatter, None),
+    "alltoall": (_alltoall, None),
+    "split": (_split, lambda e, r: e.machine.collective_cost(e.size, 16)),
+    "spawn_multiple": (_spawn_multiple, lambda e, r: e.machine.ulfm.spawn(
+        e.size + r.arg[0], r.arg[0])),
+    "shrink": (_shrink, _shrink_cost),
+    "agree": (_agree, _agree_cost),
+    "merge": (_merge, lambda e, r: e.machine.ulfm.merge(e.size)),
+}
+
+
 class BatchCollectives:
-    """Per-communicator batch engine for failure-free collective rounds."""
+    """Collective rounds over one member list (a communicator, or one
+    group of an intercommunicator)."""
 
-    __slots__ = ("state", "engine", "machine", "stats", "size", "detect",
-                 "open", "doomed", "_pool", "_none_row", "_counters")
+    __slots__ = ("state", "members", "ranks", "uni", "engine", "machine",
+                 "size", "detect", "dead", "live", "seq", "open", "doomed",
+                 "_pool", "_none_row", "_counters")
 
-    def __init__(self, state):
+    def __init__(self, state, members: List, ranks: Sequence[int] = ()):
         uni = state.universe
         self.state = state
+        #: rank -> Proc; the communicator's own list, so a re-admission
+        #: updates it in place
+        self.members = members
+        #: rank as reported in trace records and failure messages (an
+        #: intercommunicator's merge spans both groups' local ranks)
+        self.ranks = ranks or range(len(members))
+        self.uni = uni
         self.engine = uni.engine
         self.machine = uni.machine
-        self.stats = uni.stats
-        self.size = state.size
+        self.size = len(members)
         self.detect = uni.machine.failure_detection_latency
-        #: op name -> open round (at most one per op: a round closes at its
-        #: last arrival, and no rank can start round k+1 before passing
-        #: through round k)
-        self.open: Dict[str, _Round] = {}
-        #: (op name, op index) -> original doom exception, for ranks that
-        #: reach an already-doomed round (epoch-bounded: op indices are
-        #: never reused, and a damaged communicator is abandoned after
-        #: recovery, so entries are never deleted)
-        self.doomed: Dict[tuple, BaseException] = {}
+        #: ranks of the dead members, and how many are alive
+        self.dead = frozenset(i for i, p in enumerate(members) if p.dead)
+        self.live = self.size - len(self.dead)
+        #: channel -> per-rank count of calls made (the next round index)
+        self.seq: Dict[str, List[int]] = {}
+        #: (op name, round index) -> open round
+        self.open: Dict[tuple, _Round] = {}
+        #: (op name, round index) -> (the exception that doomed the round,
+        #: the live ranks yet to reach it); an entry goes once each of them
+        #: has arrived or died, so the exception — whose traceback holds
+        #: the frames it was raised through — is not kept longer
+        self.doomed: Dict[tuple, tuple] = {}
         self._pool: List[_Round] = []
-        self._none_row: List[Any] = [None] * state.size
+        self._none_row: List[Any] = [None] * self.size
         #: cached mpi_collectives counter instruments (one registry lookup
         #: per op name per communicator instead of one per join)
         self._counters: Dict[str, Any] = {}
@@ -154,146 +353,112 @@ class BatchCollectives:
     def _record(self, op: str) -> None:
         c = self._counters.get(op)
         if c is None:
-            c = self._counters[op] = self.stats.registry.counter(
+            c = self._counters[op] = self.uni.stats.registry.counter(
                 "mpi_collectives", op=op)
         c.value += 1
 
-    def join(self, op: str, proc, rank: int, value: Any, nbytes: int,
-             reduce_op: Optional[Callable] = None, root: int = 0):
-        """Contribute to the open round for ``op`` (creating it if needed).
+    def _doom(self, op: str, ranks) -> ProcFailedError:
+        return doom_exception(op, tuple(sorted(self.ranks[i] for i in ranks)))
 
-        Returns the round (await ``round.fut`` then ``round.take(rank)``),
-        a :class:`_DoomedJoin` whose future already carries the round's
-        original doom exception, or ``None`` — meaning the fast path
-        declines and the caller must run the event path.  An op index is
-        consumed (and the collective counted) exactly when the join is
-        accepted, preserving the one-index-per-call contract.
-        """
-        state = self.state
-        key = (proc.uid, "coll")
-        idx = state._op_counts[key]            # peek; consume only on accept
-        rnd = self.open.get(op)
-        if rnd is not None:
-            if rnd.idx != idx:                 # pragma: no cover - defensive
-                return None
-            state._op_counts[key] = idx + 1
-            self._record(op)
-            rnd.values[rank] = value
-            rnd.arrived.append(rank)
-            if nbytes > rnd.max_nbytes:
-                rnd.max_nbytes = nbytes
-            rnd.n += 1
-            if rnd.n == self.size:
-                del self.open[op]
-                self._complete(rnd)
-            return rnd
-        exc = self.doomed.get((op, idx))
-        if exc is not None:
-            # late arrival to a doomed round: original exception, delivered
-            # after the detection latency (Rendezvous.arrive parity)
-            state._op_counts[key] = idx + 1
-            self._record(op)
-            engine = self.engine
-            fut = engine.create_future()
-            fut.set_exception(exc, at=engine.now + self.detect)
-            return _DoomedJoin(fut)
-        if state._dead_ranks:
-            # damaged communicator: the event path models the doomed
-            # rendezvous / failure-detection probe semantics
+    def _keep_doomed(self, key: tuple, exc: BaseException,
+                     arrived: Sequence) -> None:
+        """Remember why round ``key`` failed for the live ranks that have
+        not reached it (``arrived[i]`` is None for those)."""
+        dead = self.dead
+        pending = {i for i, t in enumerate(arrived)
+                   if t is None and i not in dead}
+        if pending:
+            self.doomed[key] = (exc, pending)
+
+    def _take_doomed(self, key: tuple, rank: int):
+        """The exception of doomed round ``key`` for ``rank`` reaching it
+        late (or dying before it), None if the round is not doomed."""
+        entry = self.doomed.get(key)
+        if entry is None:
             return None
-        state._op_counts[key] = idx + 1
+        exc, pending = entry
+        pending.discard(rank)
+        if not pending:
+            del self.doomed[key]
+        return exc
+
+    def join(self, op: str, rank: int, value: Any = None, nbytes: int = 0,
+             arg: Any = None, root: int = 0):
+        """Contribute ``value`` (``nbytes`` long) to this rank's next round
+        of ``op``, opening the round if this rank is the first to arrive.
+
+        ``arg`` and ``root`` are the op's parameters (the reduction
+        operator; spawn's ``(count, entry, argv, hosts)``); the first
+        arriver's are the round's.  Returns the round — await its ``fut``,
+        then ``take(rank)`` — or a :class:`_DoomedJoin` whose ``fut``
+        carries the doomed round's exception.
+        """
+        survivor = op in SURVIVOR_OPS
+        channel = op if survivor else "coll"
+        counts = self.seq.get(channel)
+        if counts is None:
+            counts = self.seq[channel] = [0] * self.size
+        idx = counts[rank]
+        counts[rank] = idx + 1
         self._record(op)
-        pool = self._pool
-        rnd = pool.pop() if pool else _Round(self)
-        rnd.op = op
-        rnd.idx = idx
-        rnd.reduce_op = reduce_op
-        rnd.root = root
+        uni = self.uni
+        if uni.tracer is not None:
+            uni.trace(self.members[rank].name, "coll",
+                      f"{op} {self.state.name} r{self.ranks[rank]}")
+        engine = self.engine
+        key = (op, idx)
+        rnd = self.open.get(key)
+        if rnd is None:
+            exc = self._take_doomed(key, rank)
+            if exc is None and self.dead and not survivor:
+                exc = self._doom(op, self.dead)
+                arrived = [None] * self.size
+                arrived[rank] = engine.now
+                self._keep_doomed(key, exc, arrived)
+            if exc is not None:
+                fut = engine.create_future()
+                fut.set_exception(exc, at=engine.now + self.detect)
+                return _DoomedJoin(fut)
+            pool = self._pool
+            rnd = pool.pop() if pool else _Round(self)
+            rnd.op = op
+            rnd.survivor = survivor
+            rnd.arg = arg
+            rnd.root = root
+            price = _OPS[op][1]
+            rnd.cost = None if price is None else price(self, rnd)
+            self.open[key] = rnd
         rnd.values[rank] = value
-        rnd.arrived.append(rank)
-        rnd.max_nbytes = nbytes
-        rnd.n = 1
-        if self.size == 1:
-            self._complete(rnd)
-        else:
-            self.open[op] = rnd
+        rnd.times[rank] = engine.now
+        if nbytes > rnd.max_nbytes:
+            rnd.max_nbytes = nbytes
+        rnd.n += 1
+        if rnd.n == self.live:
+            del self.open[key]
+            self._complete(rnd, engine.now)
         return rnd
 
-    # ------------------------------------------------------------------
-    def _complete(self, rnd: _Round) -> None:
-        """Finish a fully-arrived round: cost, fold/clone, batched wake-up.
-
-        Runs at the last arrival instant, so ``engine.now`` is the event
-        path's ``latest`` and completion lands at ``now + cost``.
-        """
+    def _complete(self, rnd: _Round, latest: float) -> None:
+        """Compute every rank's result and wake the parked ranks at
+        ``latest + cost`` (a malformed call fails them all now)."""
         engine = self.engine
-        now = engine.now
-        op = rnd.op
-        size = self.size
-        values = rnd.values
         try:
-            if op == "barrier":
-                cost = self.machine.barrier_cost(size)
-                rnd.kind = _SHARED
-                rnd.result = None
-            else:
-                cost = self.machine.collective_cost(size, rnd.max_nbytes)
-                if op == "allreduce":
-                    acc = _fold(values, rnd.reduce_op)
-                    if type(acc) in _IMMUTABLE_TYPES:
-                        rnd.kind = _SHARED
-                        rnd.result = acc
-                    else:
-                        rnd.kind = _PER_RANK
-                        rnd.per_rank = [clone_payload(acc)
-                                        for _ in range(size)]
-                elif op == "reduce":
-                    rnd.kind = _ROOT_ONLY
-                    rnd.result = _fold(values, rnd.reduce_op)
-                elif op == "bcast":
-                    v = values[rnd.root]
-                    if type(v) in _IMMUTABLE_TYPES:
-                        rnd.kind = _SHARED
-                        rnd.result = v
-                    else:
-                        # root keeps its original object, like the finisher
-                        rnd.kind = _PER_RANK
-                        root = rnd.root
-                        rnd.per_rank = [v if i == root else clone_payload(v)
-                                        for i in range(size)]
-                elif op == "gather":
-                    rnd.kind = _ROOT_ONLY
-                    rnd.result = list(values)   # originals, finisher parity
-                elif op == "allgather":
-                    ordered = list(values)
-                    rnd.kind = _PER_RANK
-                    rnd.per_rank = [clone_payload(ordered)
-                                    for _ in range(size)]
-                elif op == "scatter":
-                    items = values[rnd.root]
-                    if items is None or len(items) != size:
-                        raise RankError(
-                            f"scatter root must supply {size} items")
-                    rnd.kind = _PER_RANK
-                    rnd.per_rank = [clone_payload(items[i])
-                                    for i in range(size)]
-                else:  # pragma: no cover - join() only admits the ops above
-                    raise RuntimeError(f"batch round for unknown op {op!r}")
+            if rnd.cost is None:
+                rnd.cost = self.machine.collective_cost(self.size,
+                                                        rnd.max_nbytes)
+            rnd.shape, rnd.result = _OPS[rnd.op][0](self, rnd)
         except Exception as exc:
-            # malformed collective: fails uniformly on every participant at
-            # the last arrival instant, like Rendezvous._complete
-            rnd.fut.set_exception(exc, at=now)
+            rnd.fut.set_exception(exc, at=engine.now)
             return
-        rnd.reads = size
-        engine.schedule_future_batch(rnd.fut, None, now + cost)
+        rnd.reads = rnd.n
+        engine.schedule_future_batch(rnd.fut, None, latest + rnd.cost)
 
-    # ------------------------------------------------------------------
     def _recycle(self, rnd: _Round) -> None:
         rnd.values[:] = self._none_row
-        del rnd.arrived[:]
+        rnd.times[:] = self._none_row
         rnd.n = 0
         rnd.max_nbytes = 0
-        rnd.result = rnd.per_rank = rnd.reduce_op = None
+        rnd.result = rnd.arg = None
         rnd.fut.recycle()
         self._pool.append(rnd)
 
@@ -301,28 +466,53 @@ class BatchCollectives:
     # failure propagation (cold paths)
     # ------------------------------------------------------------------
     def on_death(self, rank: int, now: float) -> None:
-        """A member died: doom every open round (ProcFailedError at
-        ``now + detect``, identical message to ``Rendezvous._doom``) and
-        arm the doomed-continuation for ranks that have not arrived yet."""
-        if not self.open:
-            return
+        """Member ``rank`` died: doom the open NORMAL rounds; drop its
+        contribution from the open SURVIVOR rounds, completing those whose
+        live members have all arrived."""
+        self.dead = self.dead | {rank}
+        self.live -= 1
+        for key in list(self.doomed):
+            self._take_doomed(key, rank)
         at = now + self.detect
-        for op, rnd in self.open.items():
-            exc = doom_exception(op, (rank,))
-            self.doomed[(op, rnd.idx)] = exc
-            rnd.fut.set_exception(exc, at=at)
-        self.open.clear()
+        for key, rnd in list(self.open.items()):
+            if not rnd.survivor:
+                del self.open[key]
+                exc = self._doom(rnd.op, (rank,))
+                self._keep_doomed(key, exc, rnd.times)
+                rnd.fut.set_exception(exc, at=at)
+                continue
+            if rnd.times[rank] is not None:
+                rnd.times[rank] = rnd.values[rank] = None
+                rnd.n -= 1
+            if self.live and rnd.n == self.live:
+                del self.open[key]
+                self._complete(rnd, max(t for t in rnd.times if t is not None))
+
+    def readmit(self, rank: int) -> None:
+        """A live replacement took dead member ``rank``'s place: open
+        SURVIVOR rounds now wait for it."""
+        self.dead = self.dead - {rank}
+        self.live += 1
 
     def on_revoke(self, exc: BaseException, now: float) -> None:
-        """The communicator was revoked: doom every open round with the
-        shared exception instance, like ``RendezvousTable.doom_all``.
-
-        No doomed-continuation is needed — ranks reaching the collective
-        after revocation fail the ``_check_usable`` gate synchronously on
-        the event path (the fast path declines revoked communicators)."""
-        if not self.open:
-            return
+        """The communicator was revoked: doom every open NORMAL round with
+        the shared exception at ``now + detect``."""
         at = now + self.detect
-        for rnd in self.open.values():
-            rnd.fut.set_exception(exc, at=at)
-        self.open.clear()
+        for key, rnd in list(self.open.items()):
+            if not rnd.survivor:
+                del self.open[key]
+                self._keep_doomed(key, exc, rnd.times)
+                rnd.fut.set_exception(exc, at=at)
+
+
+async def collective(handle, engine: BatchCollectives, rank: int, op: str,
+                     value: Any = None, nbytes: int = 0, arg: Any = None,
+                     root: int = 0):
+    """Run ``rank``'s part of one round of ``op`` on ``engine`` and return
+    its result; a failure is raised through the handle's error handler."""
+    rnd = engine.join(op, rank, value, nbytes, arg, root)
+    try:
+        await rnd.fut
+    except MPIError as exc:
+        handle._raise(exc)
+    return rnd.take(rank)

@@ -10,12 +10,11 @@ completeness.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from typing import Any, Callable, Dict, List, Sequence
 
 from ..simkernel.traps import Sleep
-from .collectives import Rendezvous, RendezvousTable, RvKind
-from .comm import CommHandle, CommState
+from .batchcoll import BatchCollectives, collective
+from .comm import CommHandle
 from .datatypes import clone_payload, payload_nbytes
 from .errors import (ANY_SOURCE, ANY_TAG, UNDEFINED, CommInvalidError,
                      MPIError, ProcFailedError, RankError, RevokedError)
@@ -41,8 +40,14 @@ class IntercommState:
         detect = universe.machine.failure_detection_latency
         # board keyed by destination proc uid (ranks are ambiguous across sides)
         self.board = MessageBoard(engine, detect)
-        self.rtable = RendezvousTable()
-        self._op_counts: Dict[tuple, int] = defaultdict(int)
+        #: merge runs over both groups (group b's ranks follow group a's);
+        #: agree runs over the caller's local group (see IntercommHandle.agree)
+        n_a, n_b = len(self.group_a), len(self.group_b)
+        self.coll = BatchCollectives(self, self.group_a + self.group_b,
+                                     [*range(n_a), *range(n_b)])
+        self.agree_coll = {"a": BatchCollectives(self, self.group_a),
+                           "b": BatchCollectives(self, self.group_b)}
+        self.engines = (self.coll, *self.agree_coll.values())
         self.errhandlers: Dict[int, Callable] = {}
         self.acked: Dict[int, tuple] = {}
         self._a_uids = {p.uid for p in self.group_a}
@@ -74,14 +79,10 @@ class IntercommState:
                 return i
         return UNDEFINED
 
-    def n_failed(self) -> int:
-        return sum(1 for p in self.all_procs if p.dead)
-
-    def next_op_index(self, proc: Proc, channel: str = "coll") -> int:
-        key = (proc.uid, channel)
-        idx = self._op_counts[key]
-        self._op_counts[key] = idx + 1
-        return idx
+    def member_index(self, proc: Proc) -> int:
+        """Position in the merge round's member list (group a, then b)."""
+        rank = self.rank_of(proc)
+        return rank if self.side_of(proc) == "a" else len(self.group_a) + rank
 
     def on_proc_death(self, proc: Proc, now: float) -> None:
         self.board.drop_waiters_of(proc.uid)
@@ -95,7 +96,8 @@ class IntercommState:
                 ProcFailedError(f"intercomm peer rank {dead_rank} died",
                                 failed_ranks=(dead_rank,)),
                 at=now + detect)
-        self.rtable.on_proc_death(proc, now)
+        self.coll.on_death(self.member_index(proc), now)
+        self.agree_coll[self.side_of(proc)].on_death(dead_rank, now)
 
     def do_revoke(self, now: float) -> None:
         if self.revoked:
@@ -103,8 +105,9 @@ class IntercommState:
         self.revoked = True
         self.universe.trace(self.name, "revoked", "propagated")
         self.board.revoke_all(now)
-        self.rtable.doom_all(RevokedError(f"{self.name} revoked"), now,
-                             self.universe.machine.failure_detection_latency)
+        exc = RevokedError(f"{self.name} revoked")
+        for engine in self.engines:
+            engine.on_revoke(exc, now)
 
 
 class IntercommHandle:
@@ -176,9 +179,6 @@ class IntercommHandle:
             self._raise(RevokedError(f"{self.state.name} revoked"))
         dead = frozenset(i for i, p in enumerate(self.remote_group) if p.dead)
         fut = self._engine.create_future(label=f"i-recv:{self.state.name}")
-        fut.waits_for = {"kind": "recv", "state": self.state,
-                         "rank": self.rank, "source": source, "tag": tag,
-                         "inter": True}
         self.state.board.register_recv(self.proc.uid, source, tag, fut, dead)
         try:
             msg = await fut
@@ -192,33 +192,6 @@ class IntercommHandle:
     # ------------------------------------------------------------------
     # collectives over the union
     # ------------------------------------------------------------------
-    async def _collective(self, op_name, value, *, kind, cost_fn, finisher,
-                          channel: str = "coll", members=None):
-        engine = self._engine
-        state = self.state
-        idx = state.next_op_index(self.proc, channel)
-        key = (channel, op_name, idx)
-        detect = self._machine.failure_detection_latency
-        members = state.all_procs if members is None else members
-
-        def factory():
-            return Rendezvous(engine, key, op_name, members, kind,
-                              cost_fn, finisher, detect, state.rank_of)
-
-        rv = state.rtable.get_or_create(key, factory)
-        state.universe.stats.record_collective(op_name)
-        state.universe.trace(self.proc.name, "coll",
-                             f"{op_name} {state.name} r{self.rank}")
-        fut = engine.create_future(label=f"{op_name}:{state.name}")
-        fut.waits_for = {"kind": "coll", "op": op_name, "state": state,
-                         "rank": self.rank, "rv": rv}
-        rv.arrive(self.proc, value, fut)
-        state.rtable.cleanup()
-        try:
-            return await fut
-        except MPIError as exc:
-            self._raise(exc)
-
     async def agree(self, flag: int = 1) -> int:
         """``OMPI_Comm_agree`` on an intercommunicator.
 
@@ -228,54 +201,17 @@ class IntercommHandle:
         l.14-15) while the children agree before merging (Fig. 3 l.21-22),
         so an agreement spanning both groups could never complete.
         """
-        state = self.state
-        side = state.side_of(self.proc)
-        group = state.group_a if side == "a" else state.group_b
-        n = len(group)
-        n_failed = sum(1 for p in group if p.dead)
-        if n_failed == 0:
-            cost = 4.0 * self._machine.collective_cost(n, 8)
-        else:
-            cost = self._machine.ulfm.agree(n, n_failed)
-
-        def finisher(arrived, live):
-            acc = None
-            for v in arrived.values():
-                acc = v if acc is None else (acc & v)
-            return {uid: acc for uid in arrived}
-
-        return await self._collective(
-            "agree", int(flag), kind=RvKind.SURVIVOR,
-            cost_fn=lambda arr: cost, finisher=finisher,
-            channel=f"agree-{side}", members=group)
+        engine = self.state.agree_coll[self.state.side_of(self.proc)]
+        return await collective(self, engine, self.rank, "agree", int(flag))
 
     async def merge(self, high: bool) -> CommHandle:
         """``MPI_Intercomm_merge``: form an intracommunicator over both
         groups; the group(s) passing ``high=True`` get the upper ranks
         (Fig. 2's merge step)."""
         state = self.state
-        universe = state.universe
-        n = len(state.all_procs)
-        cost = self._machine.ulfm.merge(n)
-
-        def finisher(arrived, live):
-            a_flags = {bool(arrived[p.uid]) for p in state.group_a
-                       if p.uid in arrived}
-            b_flags = {bool(arrived[p.uid]) for p in state.group_b
-                       if p.uid in arrived}
-            if len(a_flags) > 1 or len(b_flags) > 1 or a_flags == b_flags:
-                raise RankError(
-                    f"inconsistent high flags in intercomm merge: "
-                    f"a={a_flags}, b={b_flags}")
-            low, highg = (state.group_a, state.group_b) \
-                if a_flags == {False} else (state.group_b, state.group_a)
-            new_state = CommState(universe, list(low) + list(highg),
-                                  name=f"{state.name}.merged")
-            return {uid: new_state for uid in arrived}
-
-        new_state = await self._collective(
-            "merge", bool(high), kind=RvKind.NORMAL,
-            cost_fn=lambda arr: cost, finisher=finisher)
+        new_state = await collective(self, state.coll,
+                                     state.member_index(self.proc), "merge",
+                                     bool(high))
         return CommHandle(new_state, self.proc)
 
     def revoke(self) -> None:

@@ -373,7 +373,7 @@ class ExchangeOp:
             return
         source, tag = self.specs[self.idx]
         self.board.register_recv(self.dst, source, tag, self,
-                                 state._dead_ranks)
+                                 state.coll.dead)
 
     def set_result(self, msg: Message, at: float = 0.0) -> None:
         if self.fut._done:  # pragma: no cover - defensive

@@ -51,16 +51,15 @@ class SimFuture:
     """
 
     __slots__ = ("engine", "label", "_done", "_result", "_exception", "_time",
-                 "_waiters", "_callbacks", "waits_for")
+                 "_waiters", "_callbacks")
 
     _trap_tag = _TRAP_FUTURE
 
     def __init__(self, engine, label: str = ""):
         # NB: ``_result``/``_exception``/``_time`` are written by
-        # ``_resolve`` before anything reads them, and ``waits_for`` is an
-        # optional annotation higher layers attach (read back with
-        # ``getattr(..., None)``) — leaving all four unset keeps future
-        # creation, a per-message cost, to the minimum number of stores.
+        # ``_resolve`` before anything reads them — leaving all three unset
+        # keeps future creation, a per-message cost, to the minimum number
+        # of stores.
         self.engine = engine
         self.label = label
         self._done = False

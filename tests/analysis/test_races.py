@@ -149,3 +149,28 @@ def test_deadlock_on_missing_collective_participant():
     msg = str(excinfo.value)
     assert "barrier" in msg
     assert "wait-for graph" in msg
+
+
+def test_deadlock_on_missing_survivor_agree_participant():
+    """A survivor-kind agree waits for every *live* member: with rank 3
+    dead and live rank 2 never calling agree, the explainer names rank 2
+    (and only rank 2) as what ranks 0 and 1 are blocked on."""
+    async def main(ctx):
+        if ctx.rank == 2:
+            await ctx.comm.recv(source=0)   # never satisfied either
+        else:
+            await ctx.comm.agree(1)
+        return None
+
+    uni = Universe(IDEAL)
+    job = uni.launch(4, main)
+    uni.kill_rank(job, 3)
+    with pytest.raises(DeadlockError) as excinfo:
+        uni.run()
+    lines = str(excinfo.value).splitlines()
+    for rank in (0, 1):
+        line = next(l for l in lines
+                    if l.strip().startswith(f"{job.name}.{rank} waits"))
+        assert "agree on" in line
+        assert line.endswith(f"blocked on: {job.name}.2")
+    assert any("cycle:" in l and f"{job.name}.2" in l for l in lines)

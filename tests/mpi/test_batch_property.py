@@ -1,15 +1,28 @@
-"""Batch fast path vs event path: bit-identity properties.
+"""Collective goldens: every collective scenario, healthy or failing, must
+reproduce the outcome recorded in ``golden_collectives.json`` exactly.
 
-Every test here runs the *same* program twice — ``batch=True`` (the
-vectorised collective rounds and fused halo exchanges) and ``batch=False``
-(the per-rank rendezvous/recv event path) — and requires the observable
-outcomes to agree exactly: per-rank results bit-for-bit, virtual finish
-times, failure exceptions (type, message, ``failed_ranks``) and their
-delivery times, and full end-to-end run metrics.  This is the contract
-that lets the fast path stay on by default.
+An outcome is what the ranks observe: per-rank results bit-for-bit,
+virtual finish times (``wtime``), and for failures the exception type,
+message, ``failed_ranks`` and delivery time.  Whole-application runs
+record ``RunMetrics.to_dict()`` and ``phase_breakdown``.  The fixture was
+recorded with two independent collective implementations that agreed on
+every scenario, so it pins the ULFM failure rules (dooming, survivor
+completion, revocation, late arrivals, first-arriver pricing) as well as
+the healthy fold/clone/timing rules.
+
+The fused halo exchange is checked against the unfused
+``isend``/``recv``/``wait`` sequence it stands for, run in the same
+configuration, instead of a fixture.
+
+To re-record the fixture after an *intended* change of results run::
+
+    PYTHONPATH=src python tests/mpi/test_batch_property.py --write
 """
 
-import math
+import itertools
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,42 +32,90 @@ from repro.core.app import app_main
 from repro.core.runner import make_universe
 from repro.ft.failure_injection import FailureGenerator
 from repro.machine.presets import IDEAL, OPL
-from repro.mpi import MAX, MIN, SUM, ProcFailedError
+from repro.mpi import (BAND, MAX, MIN, SUM, CommHandle, MPIError,
+                       ProcFailedError, Universe)
+from repro.mpi import universe as universe_module
 
-from ..conftest import run_ranks
+FIXTURE = Path(__file__).with_name("golden_collectives.json")
 
-
-def run_both(n, entry, *, machine=IDEAL, kills=(),
-             raise_task_failures=True):
-    fast, _ = run_ranks(n, entry, machine=machine, kills=kills,
-                        raise_task_failures=raise_task_failures, batch=True)
-    slow, _ = run_ranks(n, entry, machine=machine, kills=kills,
-                        raise_task_failures=raise_task_failures, batch=False)
-    return fast, slow
+#: scenario name -> zero-argument function returning the outcome
+SCENARIOS = {}
 
 
-def _normalise(x):
-    """Comparison form: numpy payloads by dtype/shape/bytes (exact)."""
+def scenario(name):
+    def register(fn):
+        SCENARIOS[name] = fn
+        return fn
+    return register
+
+
+def fresh_job_names():
+    """Restart the process-wide job counter, so communicator names (which
+    appear in error messages) do not depend on what ran before."""
+    universe_module._job_ids = itertools.count()
+
+
+def run(n, entry, *, machine=IDEAL, kills=()):
+    """Run ``entry`` on ``n`` ranks; the outcome is the per-rank results
+    of every job (spawned children included), in launch order."""
+    fresh_job_names()
+    uni = Universe(machine)
+    job = uni.launch(n, entry)
+    for rank, at in kills:
+        uni.kill_rank(job, rank, at=at)
+    uni.run(raise_task_failures=False)
+    return [j.results() for j in uni.jobs]
+
+
+async def attempt(ctx, call):
+    """("ok", value, wtime) or the failure as the rank observed it."""
+    try:
+        value = await call
+    except MPIError as exc:
+        return ("err", type(exc).__name__, str(exc),
+                getattr(exc, "failed_ranks", None), ctx.wtime())
+    return ("ok", value, ctx.wtime())
+
+
+def encode(x):
+    """JSON form that keeps every distinction the comparison needs:
+    tuples vs lists, numpy dtypes and exact array bytes."""
+    if x is None or isinstance(x, (bool, str)) or type(x) in (int, float):
+        return x
     if isinstance(x, np.ndarray):
-        return ("nd", str(x.dtype), x.shape, x.tobytes())
-    if isinstance(x, (list, tuple)):
-        return tuple(_normalise(v) for v in x)
+        return {"nd": [x.dtype.str, list(x.shape), x.tobytes().hex()]}
+    if isinstance(x, np.generic):
+        return {"np": [x.dtype.str, x.tobytes().hex()]}
+    if isinstance(x, list):
+        return [encode(v) for v in x]
+    if isinstance(x, tuple):
+        return {"tuple": [encode(v) for v in x]}
     if isinstance(x, dict):
-        return tuple(sorted((k, _normalise(v)) for k, v in x.items()))
-    return x
+        return {"dict": [[encode(k), encode(v)] for k, v in x.items()]}
+    raise TypeError(f"cannot encode {type(x).__name__} in a golden outcome")
 
 
-def assert_identical(fast, slow):
-    assert _normalise(fast) == _normalise(slow)
+def canonical(x) -> str:
+    """Comparison text: NaN-safe and exact for floats (``repr`` round-trip)."""
+    return json.dumps(x, sort_keys=True)
+
+
+def _load():
+    with open(FIXTURE) as f:
+        return json.load(f)
+
+
+GOLDEN = _load() if FIXTURE.exists() else {}
+
+
+def check(name):
+    assert canonical(encode(SCENARIOS[name]())) == canonical(GOLDEN[name])
 
 
 # ----------------------------------------------------------------------
 # failure-free collective rounds
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("machine", [IDEAL, OPL], ids=["ideal", "opl"])
-def test_mixed_collective_script_bit_identical(machine):
-    """A program mixing every batched op, with skewed arrivals, produces
-    identical per-rank values and finish times on both paths."""
+def _mixed(machine):
     async def main(ctx):
         comm, out = ctx.comm, []
         for step in range(3):
@@ -72,13 +133,21 @@ def test_mixed_collective_script_bit_identical(machine):
             out.append(await comm.reduce(ctx.rank + 0.25, op=MAX, root=2))
         return out, ctx.wtime()
 
-    fast, slow = run_both(5, main, machine=machine)
-    assert_identical(fast, slow)
+    return run(5, main, machine=machine)
 
 
-def test_numpy_allreduce_bit_identical():
-    """Float folds run left-to-right in rank order on both paths — no
-    pairwise reassociation — so the sums agree to the last bit."""
+scenario("mixed-ideal")(lambda: _mixed(IDEAL))
+scenario("mixed-opl")(lambda: _mixed(OPL))
+
+
+@pytest.mark.parametrize("machine", ["ideal", "opl"])
+def test_mixed_collective_script_bit_identical(machine):
+    """Every common op, with skewed arrivals: values and finish times."""
+    check(f"mixed-{machine}")
+
+
+@scenario("numpy-allreduce")
+def _numpy_allreduce():
     async def main(ctx):
         rng = np.random.default_rng(ctx.rank)
         acc = []
@@ -88,15 +157,17 @@ def test_numpy_allreduce_bit_identical():
         total = await ctx.comm.allreduce(1, op=SUM)
         return acc, total, ctx.wtime()
 
-    fast, slow = run_both(7, main, machine=OPL)
-    assert_identical(fast, slow)
-    # and the results are genuinely shared work, not per-rank recompute
-    assert fast[0][1] == 7
+    return run(7, main, machine=OPL)
 
 
-def test_bcast_aliasing_matches_event_path():
-    """Root keeps its own object; non-roots get private clones (mutations
-    never leak across ranks) — on both paths."""
+def test_numpy_allreduce_bit_identical():
+    """Float folds run left-to-right in rank order — no pairwise
+    reassociation — so the sums are pinned to the last bit."""
+    check("numpy-allreduce")
+
+
+@scenario("bcast-aliasing")
+def _bcast_aliasing():
     async def main(ctx):
         arr = np.arange(4.0) if ctx.rank == 2 else None
         got = await ctx.comm.bcast(arr, root=2)
@@ -105,22 +176,33 @@ def test_bcast_aliasing_matches_event_path():
         again = await ctx.comm.allgather(mutated)
         return got_is_original, again
 
-    fast, slow = run_both(4, main)
-    assert_identical(fast, slow)
-    assert fast[2][0] is True and fast[0][0] is False
+    return run(4, main)
 
 
-def test_single_rank_communicator():
+def test_bcast_aliasing_matches_event_path():
+    """Root keeps its own object; non-roots get private clones, so
+    mutations never leak across ranks."""
+    check("bcast-aliasing")
+    (results,) = SCENARIOS["bcast-aliasing"]()
+    assert results[2][0] is True and results[0][0] is False
+
+
+@scenario("single-rank")
+def _single_rank():
     async def main(ctx):
         await ctx.comm.barrier()
         return (await ctx.comm.allreduce(2.5, op=SUM),
                 await ctx.comm.gather("x", root=0), ctx.wtime())
 
-    fast, slow = run_both(1, main, machine=OPL)
-    assert_identical(fast, slow)
+    return run(1, main, machine=OPL)
 
 
-def test_scatter_length_error_identical():
+def test_single_rank_communicator():
+    check("single-rank")
+
+
+@scenario("scatter-length-error")
+def _scatter_length_error():
     async def main(ctx):
         items = [1, 2] if ctx.rank == 0 else None
         try:
@@ -128,17 +210,40 @@ def test_scatter_length_error_identical():
         except Exception as exc:
             return type(exc).__name__, str(exc), ctx.wtime()
 
-    fast, slow = run_both(4, main, machine=OPL)
-    assert_identical(fast, slow)
+    return run(4, main, machine=OPL)
+
+
+def test_scatter_length_error_identical():
+    """A malformed call fails on every rank at the last arrival."""
+    check("scatter-length-error")
 
 
 # ----------------------------------------------------------------------
-# fused halo exchange
+# fused halo exchange vs the unfused sequence it stands for
 # ----------------------------------------------------------------------
 _TAG_UP, _TAG_DOWN = 11, 12
 
 
-async def _ring_exchange(ctx, rounds=5, width=32):
+async def unfused_exchange(comm, sends, recvs, copy=True):
+    reqs = [comm.isend(obj, dest, tag, copy=copy) for dest, tag, obj in sends]
+    out = [await comm.recv(source, tag) for source, tag in recvs]
+    for r in reqs:
+        await r.wait()
+    return out
+
+
+async def fused_exchange(comm, sends, recvs, copy=True):
+    return await comm.exchange(sends, recvs, copy=copy)
+
+
+def both_exchanges(n, program, **kw):
+    """(fused outcome, unfused outcome) of ``program(ctx, exchange)``."""
+    return tuple(
+        run(n, lambda ctx, ex=ex: program(ctx, ex), **kw)
+        for ex in (fused_exchange, unfused_exchange))
+
+
+async def _ring(ctx, exchange, rounds=5, width=32):
     """The solvers' halo idiom: exchange boundary rows around a ring."""
     comm = ctx.comm
     n, r = ctx.size, ctx.rank
@@ -147,7 +252,8 @@ async def _ring_exchange(ctx, rounds=5, width=32):
     history = []
     for step in range(rounds):
         await ctx.compute(0.001 * ((r * 3 + step) % 4))
-        lo, hi = await comm.exchange(
+        lo, hi = await exchange(
+            comm,
             ((prev_r, _TAG_UP, u.copy()), (next_r, _TAG_DOWN, u.copy())),
             ((prev_r, _TAG_DOWN), (next_r, _TAG_UP)), copy=False)
         u = (u + lo + hi) / 3.0
@@ -157,61 +263,57 @@ async def _ring_exchange(ctx, rounds=5, width=32):
 
 @pytest.mark.parametrize("machine", [IDEAL, OPL], ids=["ideal", "opl"])
 def test_ring_exchange_bit_identical(machine):
-    fast, slow = run_both(6, _ring_exchange, machine=machine)
-    assert_identical(fast, slow)
+    fused, unfused = both_exchanges(6, _ring, machine=machine)
+    assert canonical(encode(fused)) == canonical(encode(unfused))
 
 
 def test_exchange_dead_neighbour_identical():
-    """A neighbour dead before the exchange: same error, same timing
-    (the fast path declines damaged communicators and falls back)."""
-    async def main(ctx):
+    """A neighbour dead before the exchange: same error, same timing."""
+    async def main(ctx, exchange):
         comm, r, n = ctx.comm, ctx.rank, ctx.size
         prev_r, next_r = (r - 1) % n, (r + 1) % n
         await ctx.compute(0.5)
         try:
-            await comm.exchange(
-                ((prev_r, _TAG_UP, 1.0), (next_r, _TAG_DOWN, 1.0)),
+            await exchange(
+                comm, ((prev_r, _TAG_UP, 1.0), (next_r, _TAG_DOWN, 1.0)),
                 ((prev_r, _TAG_DOWN), (next_r, _TAG_UP)))
         except ProcFailedError as exc:
             return "dead", exc.failed_ranks, ctx.wtime()
         return "ok", ctx.wtime()
 
-    fast, slow = run_both(4, main, machine=OPL, kills=((2, 0.1),),
-                          raise_task_failures=False)
-    assert_identical(fast, slow)
-    assert fast[1][0] == "dead"
+    fused, unfused = both_exchanges(4, main, machine=OPL, kills=((2, 0.1),))
+    assert canonical(encode(fused)) == canonical(encode(unfused))
+    assert fused[0][1][0] == "dead"
 
 
 def test_exchange_kill_mid_flight_identical():
     """A neighbour killed while the exchange is parked: the surviving
-    ranks observe the failure at the same virtual instant on both paths."""
-    async def main(ctx):
+    ranks observe the failure at the same virtual instant."""
+    async def main(ctx, exchange):
         comm, r, n = ctx.comm, ctx.rank, ctx.size
         prev_r, next_r = (r - 1) % n, (r + 1) % n
         if r == 2:          # rank 2 never reaches the exchange
             await ctx.compute(100.0)
             return "late"
         try:
-            got = await comm.exchange(
+            got = await exchange(
+                comm,
                 ((prev_r, _TAG_UP, float(r)), (next_r, _TAG_DOWN, float(r))),
                 ((prev_r, _TAG_DOWN), (next_r, _TAG_UP)))
             return "ok", got, ctx.wtime()
         except ProcFailedError as exc:
             return "dead", exc.failed_ranks, ctx.wtime()
 
-    fast, slow = run_both(5, main, machine=OPL, kills=((2, 0.3),),
-                          raise_task_failures=False)
-    assert_identical(fast, slow)
-    assert fast[1][0] == "dead" and fast[3][0] == "dead"
+    fused, unfused = both_exchanges(5, main, machine=OPL, kills=((2, 0.3),))
+    assert canonical(encode(fused)) == canonical(encode(unfused))
+    assert fused[0][1][0] == "dead" and fused[0][3][0] == "dead"
 
 
 # ----------------------------------------------------------------------
-# failure injection mid-collective (forced fallback)
+# failures landing on collective rounds
 # ----------------------------------------------------------------------
-def test_kill_mid_round_identical_errors_and_times():
-    """Kill a rank while others are parked in an open batch round: every
-    survivor gets the identical ProcFailedError (message included) at the
-    identical virtual time, and late arrivers get the *original* doom."""
+@scenario("kill-mid-round")
+def _kill_mid_round():
     async def main(ctx):
         comm, r = ctx.comm, ctx.rank
         log = []
@@ -225,20 +327,25 @@ def test_kill_mid_round_identical_errors_and_times():
                 log.append(("fail", str(exc), exc.failed_ranks, ctx.wtime()))
         return log
 
-    fast, slow = run_both(6, main, machine=OPL, kills=((3, 0.4),),
-                          raise_task_failures=False)
-    assert_identical(fast, slow)
-    flat = [e for rank_log in fast if rank_log for e in rank_log]
+    return run(6, main, machine=OPL, kills=((3, 0.4),))
+
+
+def test_kill_mid_round_identical_errors_and_times():
+    """A kill while others are parked in an open round: every survivor
+    gets the same ProcFailedError at the same virtual time, and late
+    arrivers get the *original* doom at their own time plus detection."""
+    check("kill-mid-round")
+    flat = [e for rank_log in SCENARIOS["kill-mid-round"]()[0] if rank_log
+            for e in rank_log]
     assert any(e[0] == "fail" for e in flat)
 
 
-def test_rounds_after_failure_fall_back_identically():
-    """After a member death the fast path declines every new round; the
-    program keeps collecting identical results through the event path."""
+@scenario("rounds-after-failure")
+def _rounds_after_failure():
     async def main(ctx):
-        comm, r = ctx.comm, ctx.rank
+        comm = ctx.comm
         out = []
-        for step in range(6):
+        for _step in range(6):
             await ctx.compute(0.2)
             try:
                 out.append(await comm.allreduce(1.0, op=SUM))
@@ -246,58 +353,313 @@ def test_rounds_after_failure_fall_back_identically():
                 out.append((str(exc), round(ctx.wtime(), 12)))
         return out
 
-    fast, slow = run_both(4, main, machine=OPL, kills=((1, 0.5),),
-                          raise_task_failures=False)
-    assert_identical(fast, slow)
+    return run(4, main, machine=OPL, kills=((1, 0.5),))
+
+
+def test_rounds_after_failure_fall_back_identically():
+    """Every round on a damaged communicator is doomed when it opens."""
+    check("rounds-after-failure")
+
+
+@scenario("doom-several-dead")
+def _doom_several_dead():
+    async def main(ctx):
+        comm = ctx.comm
+        await ctx.compute(0.1)
+        return [await attempt(ctx, comm.barrier()),
+                await attempt(ctx, comm.bcast(ctx.rank, root=0)),
+                await attempt(ctx, comm.agree(1))]
+
+    return run(5, main, machine=OPL, kills=((1, 0.01), (3, 0.02)))
+
+
+def test_doom_lists_every_dead_rank():
+    """A round opened on a communicator with several dead members names
+    all of them; the survivor-kind agree still completes."""
+    check("doom-several-dead")
+    (results,) = SCENARIOS["doom-several-dead"]()
+    assert "(1, 3)" in results[0][0][2]
+    assert results[0][2][0] == "ok"
+
+
+def _priced_before_death(op):
+    async def main(ctx):
+        comm, r = ctx.comm, ctx.rank
+        # rank 0 opens (and prices) the round at 0.1 with one member dead;
+        # rank 5 dies at 0.3, before the others arrive
+        await ctx.compute(0.1 if r == 0 else 0.5)
+        if op == "agree":
+            return await attempt(ctx, comm.agree(3 if r != 1 else 1))
+        out = await attempt(ctx, comm.shrink())
+        if out[0] == "ok":
+            out = ("ok", (out[1].rank, out[1].size), out[2])
+        return out
+
+    return run(6, main, machine=OPL, kills=((4, 0.05), (5, 0.3)))
+
+
+scenario("agree-priced-before-death")(lambda: _priced_before_death("agree"))
+scenario("shrink-priced-before-death")(lambda: _priced_before_death("shrink"))
+
+
+@pytest.mark.parametrize("op", ["agree", "shrink"])
+def test_survivor_round_priced_by_first_arrival(op):
+    """agree/shrink cost is set by the failures the first arriver saw; a
+    member dying later does not reprice the round."""
+    check(f"{op}-priced-before-death")
+
+
+@scenario("agree-live-arrivals-only")
+def _agree_live_arrivals_only():
+    async def main(ctx):
+        r = ctx.rank
+        await ctx.compute({4: 0.2, 5: 10.0}.get(r, 0.1 + 0.01 * r))
+        return await attempt(ctx, ctx.comm.agree(1))
+
+    # rank 3 dead before the round opens; rank 4 arrives at 0.2 and dies at
+    # 0.25; rank 5 never arrives and its death at 0.3 completes the round
+    return run(6, main, machine=OPL,
+               kills=((3, 0.01), (4, 0.25), (5, 0.3)))
+
+
+def test_survivor_completion_time_uses_live_arrivals_only():
+    check("agree-live-arrivals-only")
+    (results,) = SCENARIOS["agree-live-arrivals-only"]()
+    # latest live arrival (0.12) + the one-failure agree cost, not the
+    # dead rank 4's arrival at 0.2
+    assert results[0][2] == pytest.approx(0.12 + OPL.ulfm.agree(6, 1))
+
+
+@scenario("readmit-into-open-agree")
+def _readmit_into_open_agree():
+    box = {}
+
+    async def child(ctx):
+        await ctx.compute(0.01)          # the parent re-admits meanwhile
+        comm = CommHandle(box["state"], ctx.proc)
+        return comm.rank, await attempt(ctx, comm.agree(6))
+
+    async def main(ctx):
+        comm, r = ctx.comm, ctx.rank
+        solo = await comm.split(r, 0)
+        await ctx.compute(0.1)
+        if r == 2:
+            box["state"] = comm.state
+            inter = await solo.spawn_multiple(1, child)
+            await comm.readmit(3, inter.remote_group[0])
+        return await attempt(ctx, comm.agree(7 if r != 1 else 5))
+
+    return run(4, main, machine=OPL, kills=((3, 0.05),))
+
+
+def test_readmit_into_open_agree():
+    """Re-admitting a replacement into an open agree makes the round wait
+    for it; the replacement joins the dead member's round."""
+    check("readmit-into-open-agree")
+    parents, children = SCENARIOS["readmit-into-open-agree"]()
+    assert children[0][1][1] == 4 and parents[0][1] == 4
+
+
+# ----------------------------------------------------------------------
+# intercommunicators
+# ----------------------------------------------------------------------
+def _intercomm(high_child, kill_child=None):
+    async def child(ctx):
+        parent = ctx.get_parent()
+        await ctx.compute(0.02 * (ctx.rank + 1))
+        out = [await attempt(ctx, parent.agree(1 + 2 * ctx.rank))]
+        merged = await attempt(ctx, parent.merge(high_child))
+        if merged[0] == "ok":
+            comm = merged[1]
+            merged = ("ok", (comm.rank, comm.size), merged[2])
+            out.append(await attempt(ctx, comm.allreduce(ctx.rank)))
+        return out + [merged]
+
+    async def main(ctx):
+        comm, r = ctx.comm, ctx.rank
+        inter = await comm.spawn_multiple(3, child)
+        if kill_child is not None and r == 0:
+            ctx.universe.kill_proc(inter.remote_group[kill_child],
+                                   at=ctx.wtime() + 0.01)
+        await ctx.compute(0.01 * r)
+        merged = await attempt(ctx, inter.merge(False))
+        out = [await attempt(ctx, inter.agree(4 + r))]
+        if merged[0] == "ok":
+            comm2 = merged[1]
+            merged = ("ok", (comm2.rank, comm2.size), merged[2])
+            out.append(await attempt(ctx, comm2.allreduce(10 * r)))
+        return out + [merged]
+
+    return run(2, main, machine=OPL)
+
+
+scenario("intercomm-agree-merge")(lambda: _intercomm(True))
+scenario("intercomm-inconsistent-high")(lambda: _intercomm(False))
+scenario("intercomm-kill")(lambda: _intercomm(True, kill_child=1))
+
+
+@pytest.mark.parametrize("case", ["agree-merge", "inconsistent-high",
+                                  "kill"])
+def test_intercomm_agree_and_merge(case):
+    """Local-group agree on each side, merge over both groups: healthy,
+    with inconsistent ``high`` flags, and with a child dying before the
+    children's agree."""
+    check(f"intercomm-{case}")
+
+
+# ----------------------------------------------------------------------
+# the long-tail ops under a kill
+# ----------------------------------------------------------------------
+async def _spawned(ctx):
+    return ctx.rank
+
+
+_LONG_TAIL = {
+    "scan": lambda ctx: ctx.comm.scan(ctx.rank + 1.5, op=SUM),
+    "exscan": lambda ctx: ctx.comm.exscan(np.arange(3.0) * ctx.rank, op=SUM),
+    "alltoall": lambda ctx: ctx.comm.alltoall(
+        [(ctx.rank, i) for i in range(ctx.size)]),
+    "reduce_scatter_block": lambda ctx: ctx.comm.reduce_scatter_block(
+        [ctx.rank * 8 + i for i in range(ctx.size)], op=BAND),
+    "split": lambda ctx: ctx.comm.split(ctx.rank % 2, -ctx.rank),
+    "spawn_multiple": lambda ctx: ctx.comm.spawn_multiple(2, _spawned),
+}
+
+
+def _describe(value):
+    """Handles returned by split/spawn, as (rank, size) pairs."""
+    if isinstance(value, CommHandle):
+        return ("comm", value.rank, value.size)
+    if hasattr(value, "remote_size"):
+        return ("inter", value.rank, value.local_size, value.remote_size)
+    return value
+
+
+def _long_tail(op):
+    async def main(ctx):
+        call = _LONG_TAIL[op]
+        log = []
+        for when in (0.0, 0.05 * ctx.rank, 0.5):
+            await ctx.compute(when)
+            out = await attempt(ctx, call(ctx))
+            log.append((out[0], _describe(out[1])) + out[2:])
+        return log
+
+    # the first call is healthy; in the second, ranks 0-2 are parked when
+    # rank 3 dies at 0.12 (before arriving) and rank 4 arrives late; the
+    # third opens on a damaged communicator
+    return run(5, main, machine=OPL, kills=((3, 0.12),))
+
+
+for _op in _LONG_TAIL:
+    scenario(f"{_op}-kill")(lambda op=_op: _long_tail(op))
+
+
+@pytest.mark.parametrize("op", sorted(_LONG_TAIL))
+def test_long_tail_op_under_kill(op):
+    """Each op's healthy result rules, its doom under a kill mid-round
+    (late arrivers get the original exception), then a round on the
+    damaged communicator."""
+    check(f"{op}-kill")
+
+
+# ----------------------------------------------------------------------
+# revocation landing on open rounds
+# ----------------------------------------------------------------------
+def _revoke_open(op):
+    async def main(ctx):
+        comm, r = ctx.comm, ctx.rank
+        call = (lambda: comm.allreduce(r)) if op == "allreduce" \
+            else (lambda: comm.agree(0b110 | r))
+        log = []
+        if r == 0:
+            # the others are parked in the round when the revoke lands
+            await ctx.compute(0.1)
+            comm.revoke()
+            await ctx.compute(0.05)
+        log.append(await attempt(ctx, call()))
+        log.append(await attempt(ctx, comm.barrier()))
+        return log
+
+    return run(4, main, machine=OPL)
+
+
+scenario("revoke-open-normal")(lambda: _revoke_open("allreduce"))
+scenario("revoke-open-survivor")(lambda: _revoke_open("agree"))
+
+
+@pytest.mark.parametrize("kind", ["normal", "survivor"])
+def test_revoke_lands_on_open_round(kind):
+    """Revocation dooms open NORMAL rounds; SURVIVOR rounds are exempt and
+    complete; the next NORMAL call fails synchronously."""
+    check(f"revoke-open-{kind}")
 
 
 # ----------------------------------------------------------------------
 # whole-application metric identity
 # ----------------------------------------------------------------------
-def _same(a, b):
-    if isinstance(a, float) and isinstance(b, float):
-        return (math.isnan(a) and math.isnan(b)) or a == b
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
-    return a == b
-
-
 def _app_cfg(code="AC", decomposition="1d", steps=8):
     return AppConfig(n=6, level=4, technique_code=code, steps=steps,
                      diag_procs=2, checkpoint_count=4,
                      decomposition=decomposition)
 
 
+def _solver(code, decomposition):
+    fresh_job_names()
+    m = run_app(_app_cfg(code, decomposition), OPL)
+    return m.to_dict(), m.phase_breakdown
+
+
+for _code in ("AC", "CR"):
+    for _dec in ("1d", "2d"):
+        scenario(f"solver-{_code}-{_dec}")(
+            lambda c=_code, d=_dec: _solver(c, d))
+
+
 @pytest.mark.parametrize("decomposition", ["1d", "2d"])
 @pytest.mark.parametrize("code", ["AC", "CR"])
 def test_solver_run_metrics_identical(code, decomposition):
-    cfg = _app_cfg(code, decomposition)
-    fast = run_app(cfg, OPL, batch=True)
-    slow = run_app(_app_cfg(code, decomposition), OPL, batch=False)
-    assert _same(fast.to_dict(), slow.to_dict())
-    assert _same(fast.phase_breakdown, slow.phase_breakdown)
+    check(f"solver-{code}-{decomposition}")
+
+
+def _recovery_sweep(code, seed):
+    cfg = _app_cfg(code, steps=16)
+    layout = cfg.layout()
+    gen = FailureGenerator(seed, protect={0}, rank_to_grid=layout.gid_of)
+    kills = gen.plan(layout.total_procs, 1 + seed % 2, at=0.5 + 0.4 * seed)
+    fresh_job_names()
+    uni, total = make_universe(cfg, OPL)
+    job = uni.launch(total, app_main, argv=(cfg,))
+    FailureGenerator().inject(uni, job, kills)
+    uni.run()
+    return job.results()[0].to_dict()
+
+
+for _code in ("AC", "CR"):
+    for _seed in range(3):
+        scenario(f"recovery-{_code}-{_seed}")(
+            lambda c=_code, s=_seed: _recovery_sweep(c, s))
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("code", ["AC", "CR"])
 def test_recovery_sweep_metrics_identical(code, seed):
-    """Random kill plans (mid-solve, through the full ULFM recovery:
-    revoke, shrink, agree, respawn) leave identical metrics either way."""
-    cfg = _app_cfg(code, steps=16)
-    layout = cfg.layout()
-    gen = FailureGenerator(seed, protect={0}, rank_to_grid=layout.gid_of)
-    kills = gen.plan(layout.total_procs, 1 + seed % 2, at=0.5 + 0.4 * seed)
+    """Random kill plans through the full ULFM recovery (revoke, shrink,
+    agree, respawn, merge, split) reproduce the recorded metrics."""
+    check(f"recovery-{code}-{seed}")
 
-    def one(batch):
-        c = _app_cfg(code, steps=16)
-        uni, total = make_universe(c, OPL, batch=batch)
-        job = uni.launch(total, app_main, argv=(c,))
-        FailureGenerator().inject(uni, job, kills)
-        uni.run()
-        return job.results()[0]
 
-    fast, slow = one(True), one(False)
-    assert fast is not None and slow is not None
-    assert _same(fast.to_dict(), slow.to_dict())
+def test_fixture_covers_every_scenario():
+    assert sorted(GOLDEN) == sorted(SCENARIOS)
+
+
+def record():
+    return {name: encode(fn()) for name, fn in sorted(SCENARIOS.items())}
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_batch_property.py --write")
+    with open(FIXTURE, "w") as f:
+        json.dump(record(), f, indent=1, sort_keys=True)
+        f.write("\n")

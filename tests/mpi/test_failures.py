@@ -250,3 +250,27 @@ def test_multiple_simultaneous_failures_reported_together():
     res, _ = run(5, main, kills=[(1, 0.5), (3, 0.5)],
                  raise_task_failures=False)
     assert res[0] == (1, 3)
+
+
+def test_doomed_round_is_forgotten_once_every_rank_reached_it():
+    """A doomed round keeps its exception (whose traceback holds the frames
+    it was raised through) only until each live member has reached it."""
+    async def main(ctx):
+        await ctx.compute(0.05 * ctx.rank)
+        errors = []
+        for _ in range(2):              # doomed mid-round, then at open
+            try:
+                await ctx.comm.barrier()
+            except ProcFailedError as exc:
+                errors.append(exc.failed_ranks)
+            errors.append(len(ctx.comm.state.coll.doomed))
+        return errors
+
+    res, uni = run(4, main, kills=[(2, 0.07)], raise_task_failures=False)
+    # ranks 0 and 1 leave round 0 when rank 2 dies, while rank 3 has yet
+    # to reach it; they open round 1 on the damaged communicator; rank 3
+    # reaches each round last and the last entry goes with it
+    assert res[0] == [(2,), 1, (2,), 2]
+    assert res[1] == [(2,), 2, (2,), 2]
+    assert res[3] == [(2,), 1, (2,), 0]
+    assert uni.jobs[0].world_state.coll.doomed == {}
