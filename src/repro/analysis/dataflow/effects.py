@@ -57,12 +57,15 @@ __all__ = ["Effect", "EffectSummary", "EffectsStore", "EFFECT_KINDS",
 #: impurity kinds, in reporting/describe order
 EFFECT_KINDS = ("global_write", "io", "rng", "clock", "shared_return")
 
-#: callables whose results are shared cached instances: mutating or
-#: leaking one corrupts every later consumer of the same cache entry
-#: (see docs/performance.md, "Cache-safety contracts" in docs/analysis.md)
+#: callables whose results are shared instances: mutating or leaking one
+#: corrupts every later consumer of the same cache entry — or, for the
+#: collectives, every other rank of the round, which reads the same
+#: result object (see docs/performance.md, "Cache-safety contracts" in
+#: docs/analysis.md)
 FROZEN_PROVIDERS = frozenset({
     "cached_scheme", "layout_for", "combination_plan", "CombinationPlan",
     "_axis_resample_weights", "_resample_op", "_plan",
+    "allgather", "bcast", "allreduce",
 })
 
 #: plain-name calls that touch the filesystem

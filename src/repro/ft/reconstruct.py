@@ -69,15 +69,21 @@ def select_rank_key(mpi_rank: int, shrinked_group_size: int,
 
     Survivor ``i`` of the shrunk communicator was the ``i``-th process of
     the original communicator *after removing the failed ranks*, so its key
-    is the ``i``-th entry of that surviving-rank list.
+    is the ``i``-th entry of that surviving-rank list — found by stepping
+    over the failed ranks at or below it, without building the list (every
+    survivor computes its key, so a world-sized list per rank made each
+    repair quadratic in the world size).
     """
-    failed = set(failed_ranks)
-    shrink_merge_list = [i for i in range(total_procs) if i not in failed]
     if not (0 <= mpi_rank < shrinked_group_size):
         raise ValueError(
             f"rank {mpi_rank} outside shrunk communicator of size "
             f"{shrinked_group_size}")
-    return shrink_merge_list[mpi_rank]
+    key = mpi_rank
+    for failed in sorted(set(failed_ranks)):
+        if failed > key:
+            break
+        key += 1
+    return key
 
 
 def _placement_hosts(universe, failed_ranks: Sequence[int],
@@ -105,33 +111,31 @@ def _placement_hosts(universe, failed_ranks: Sequence[int],
     def fits(h) -> bool:
         return h is not None and h.free_slots - pending.get(h.name, 0) > 0
 
-    def first_available(hosts):
-        for h in hosts:
-            if fits(h):
-                return h
-        return None
-
     def preferred_host(rank):
         try:
             return hostfile.host_of_rank(rank, slots)
         except IndexError:
             return None  # rank maps past the regular hosts: fall back
 
-    names = []
-    for rank in failed_ranks:
+    def chain(rank):
+        """The policy's candidates in order, produced lazily: the first
+        that fits ends the search."""
         if placement == PLACE_SAME_HOST:
-            candidates = [preferred_host(rank),
-                          first_available(hostfile.spare_hosts),
-                          first_available(hostfile.regular_hosts)]
+            yield preferred_host(rank)
+            yield from hostfile.spare_hosts
+            yield from hostfile.regular_hosts
         elif placement == PLACE_SPARE:
-            candidates = [first_available(hostfile.spare_hosts),
-                          first_available(hostfile.regular_hosts)]
+            yield from hostfile.spare_hosts
+            yield from hostfile.regular_hosts
         elif placement == PLACE_FIRST_FIT:
-            candidates = [first_available(hostfile.regular_hosts),
-                          first_available(hostfile.spare_hosts)]
+            yield from hostfile.regular_hosts
+            yield from hostfile.spare_hosts
         else:
             raise ValueError(f"unknown placement policy {placement!r}")
-        host = next((h for h in candidates if fits(h)), None)
+
+    names = []
+    for rank in failed_ranks:
+        host = next((h for h in chain(rank) if fits(h)), None)
         if host is None:
             taken = {h.name: h.free_slots - pending.get(h.name, 0)
                      for h in hostfile}

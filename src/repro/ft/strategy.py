@@ -36,6 +36,7 @@ and supplies only its own steps:
 
 from __future__ import annotations
 
+import operator
 from typing import Dict
 
 from ..core.layout import SurvivorView
@@ -43,6 +44,12 @@ from ..mpi.errors import MPIError
 from .detection import failed_procs_list
 from .reconstruct import (communicator_reconstruct, probe_and_repair,
                           repair_comm)
+
+
+def _fold_rejoin(a: tuple, b: tuple) -> tuple:
+    """The ``rejoin_world`` reduction: union of the loss sets, max of the
+    span totals and of the repair iteration counts."""
+    return (a[0] | b[0], *map(max, a[1:], b[1:]))
 
 
 def _app_main():
@@ -127,8 +134,9 @@ class RespawnStrategy(RecoveryStrategy):
         record, so a rank-0 broadcast would announce an empty loss set and
         no grid would ever restore."""
         world = app.world
-        views = await world.allgather(tuple(app.record.failed_ranks))
-        app.record_failures(sorted({r for view in views for r in view}))
+        lost = await world.allreduce(frozenset(app.record.failed_ranks),
+                                     op=operator.or_)
+        app.record_failures(sorted(lost))
         app.grid_comm = await world.split(app.gid, world.rank)
         if app.solver is None:
             app.make_solver()
@@ -286,31 +294,31 @@ class NonCollectiveStrategy(RecoveryStrategy):
 
     async def rejoin_world(self, app) -> None:
         """Rejoin the world after grid-local repairs: one agreement plus an
-        allgather unions every grid's locally-observed loss set — the first
+        allreduce unions every grid's locally-observed loss set — the first
         (and only) world-collective step the non-collective mode takes.  The
-        same allgather carries each process's repair span totals: repairs
-        ran grid-locally, so the slowest grid's cost is adopted everywhere
-        (the wall-clock convention rank 0's metrics report)."""
+        same allreduce folds each process's repair span totals by max:
+        repairs ran grid-locally, so the slowest grid's cost is adopted
+        everywhere (the wall-clock convention rank 0's metrics report)."""
         ctx, rec = app.ctx, app.record
         world = app.world
         with ctx.span("agree", technique=app.technique.code):
             await world.agree(1)
         totals = app.span_totals()
-        payload = (tuple(rec.failed_ranks),
+        payload = (frozenset(rec.failed_ranks),
                    *(totals.get(p, 0.0) for p in self.FOLDED_PHASES),
                    rec.iterations)
         try:
-            views = await world.allgather(payload)
+            folded = await world.allreduce(payload, op=_fold_rejoin)
         except MPIError:
             raise RuntimeError(
                 "non-collective repair cannot recover a grid that lost "
                 "every member (no survivor is left to rebuild it); use "
                 "shrink or respawn mode for full-grid losses") from None
         for i, phase in enumerate(self.FOLDED_PHASES, start=1):
-            totals[phase] = max(v[i] for v in views)
+            totals[phase] = folded[i]
         app.metrics.absorb_spans(totals)
-        rec.iterations = max(v[-1] for v in views)
-        app.record_failures(sorted({r for view in views for r in view[0]}))
+        rec.iterations = folded[-1]
+        app.record_failures(sorted(folded[0]))
 
 
 STRATEGIES: Dict[str, RecoveryStrategy] = {

@@ -24,8 +24,15 @@ Result rules:
 * **fold order** — reductions fold left to right in rank order, skipping
   ``None`` contributions.  No numpy pairwise reductions: they change float
   rounding.
-* **aliasing** — results are cloned at completion, never shared mutably
-  across ranks; the root of bcast/reduce/gather keeps its own objects.
+* **sharing** — a result that is the same on every rank (allgather,
+  bcast, allreduce) is built once per round by
+  :func:`~repro.mpi.datatypes.share_payload` and every rank reads that one
+  object: immutable leaves pass through, arrays are read-only views of
+  one private copy, so no rank can write through to another.  Callers
+  must not mutate such a result (ULF011 checks it); a rank that needs to
+  must copy it.  The root of bcast/reduce/gather keeps its own objects.
+  Results that differ per rank (scatter, scan, alltoall, ...) are cloned
+  per rank at completion.
 * **malformed calls** (e.g. scatter with the wrong number of items) fail
   on every participant at the instant the round completes.
 * **cost** — the data ops cost ``collective_cost(size, max nbytes)`` over
@@ -53,7 +60,7 @@ import operator
 from collections import defaultdict
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .datatypes import _IMMUTABLE_TYPES, clone_payload
+from .datatypes import clone_payload, share_payload
 from .errors import UNDEFINED, MPIError, ProcFailedError, RankError
 
 #: the ULFM fault-tolerant ops: their own channels, completion among the
@@ -61,9 +68,10 @@ from .errors import UNDEFINED, MPIError, ProcFailedError, RankError
 SURVIVOR_OPS = frozenset({"agree", "shrink"})
 
 #: result delivery shapes (int tags, compared with ``==`` in ``take``)
-_SHARED = 0      # every rank reads ``result`` (immutable -> sharing is safe)
+_SHARED = 0      # every rank reads ``result`` (immutable or read-only)
 _ROOT_ONLY = 1   # root reads ``result``; everyone else gets None
 _PER_RANK = 2    # rank i reads ``result[i]`` (clones made at completion)
+_ROOT_OWN = 3    # root reads its own contribution; everyone else ``result``
 
 #: identity-keyed substitutions of the comm module's reduction lambdas by
 #: their C-level equivalents (populated by :mod:`repro.mpi.comm` at import
@@ -103,6 +111,8 @@ class _Round:
             out = self.result
         elif shape == _ROOT_ONLY:
             out = self.result if rank == self.root else None
+        elif shape == _ROOT_OWN:
+            out = self.values[rank] if rank == self.root else self.result
         else:
             out = self.result[rank]
         n = self.reads - 1
@@ -133,15 +143,6 @@ def _fold(values: Sequence[Any], op: Callable):
     return acc
 
 
-def _shared_or_clones(value, size: int, keep: int = -1):
-    """One shared immutable result, or a private clone per rank (rank
-    ``keep`` gets the original object)."""
-    if type(value) in _IMMUTABLE_TYPES:
-        return _SHARED, value
-    return _PER_RANK, [value if i == keep else clone_payload(value)
-                       for i in range(size)]
-
-
 # ----------------------------------------------------------------------
 # completion functions: (engine, round) -> (shape, result)
 # ----------------------------------------------------------------------
@@ -150,7 +151,7 @@ def _barrier(e, r):
 
 
 def _bcast(e, r):
-    return _shared_or_clones(r.values[r.root], e.size, keep=r.root)
+    return _ROOT_OWN, share_payload(r.values[r.root])
 
 
 def _gather(e, r):
@@ -158,8 +159,7 @@ def _gather(e, r):
 
 
 def _allgather(e, r):
-    ordered = list(r.values)
-    return _PER_RANK, [clone_payload(ordered) for _ in range(e.size)]
+    return _SHARED, share_payload(r.values)
 
 
 def _scatter(e, r):
@@ -174,7 +174,7 @@ def _reduce(e, r):
 
 
 def _allreduce(e, r):
-    return _shared_or_clones(_fold(r.values, r.arg), e.size)
+    return _SHARED, share_payload(_fold(r.values, r.arg))
 
 
 def _scan(e, r, exclusive=False):

@@ -119,7 +119,6 @@ class CommState:
         #: per-proc acknowledged failure snapshots (failure_ack)
         self.acked: Dict[int, tuple] = {}
         self.errhandlers: Dict[int, Callable] = {}
-        self._rank_cache = {p.uid: i for i, p in enumerate(self.procs)}
         #: the collective rounds over ``procs``; its ``dead`` is the
         #: failed-rank set the per-receive dead-source check reads
         self.coll = BatchCollectives(self, self.procs)
@@ -134,7 +133,7 @@ class CommState:
         return len(self.procs)
 
     def rank_of(self, proc: Proc) -> int:
-        return self._rank_cache.get(proc.uid, UNDEFINED)
+        return self.group.rank_of(proc)
 
     def dead_ranks(self) -> frozenset:
         return self.coll.dead
@@ -182,8 +181,6 @@ class CommState:
             raise RankError(
                 f"cannot re-admit dead process {proc.name} into {self.name}")
         self.procs[rank] = proc
-        self._rank_cache.pop(old.uid, None)
-        self._rank_cache[proc.uid] = rank
         self.coll.readmit(rank)
         self.group = Group(self.procs)
         old.comm_states.discard(self)

@@ -12,6 +12,10 @@ NumPy *view* of the same memory, so nothing is copied at all.  The
 read-only flag turns accidental receiver-side mutation into an immediate
 ``ValueError`` instead of silent cross-rank aliasing.
 
+:func:`share_payload` applies the same contract to collective results that
+are equal on every rank (allgather, bcast, allreduce): one read-only result
+per round, read by every rank, instead of one private clone per rank.
+
 Sizes feed the alpha–beta cost model.
 """
 
@@ -79,6 +83,33 @@ def clone_payload(obj: Any) -> Any:
         return tuple(clone_payload(x) for x in obj)
     if isinstance(obj, dict):
         return {k: clone_payload(v) for k, v in obj.items()}
+    return obj
+
+
+def share_payload(obj: Any) -> Any:
+    """One read-only copy of ``obj`` for every rank of a collective round.
+
+    Immutable leaves — and tuples of them — are returned as they are;
+    arrays become read-only views (:func:`freeze_payload`) of one private
+    copy, so the contributor keeps value semantics; lists and dicts are
+    rebuilt once.  Every rank then reads the same object, which it must
+    not mutate: the arrays refuse writes at run time, the containers are
+    guarded statically (ULF011 treats collective results as frozen).
+    """
+    t = type(obj)
+    if t in _IMMUTABLE_TYPES:
+        return obj
+    if t is np.ndarray or isinstance(obj, np.ndarray):
+        return freeze_payload(obj.copy())
+    if isinstance(obj, list):
+        return [share_payload(x) for x in obj]
+    if isinstance(obj, tuple):
+        items = [share_payload(x) for x in obj]
+        if all(a is b for a, b in zip(items, obj)):
+            return obj
+        return tuple(items)
+    if isinstance(obj, dict):
+        return {k: share_payload(v) for k, v in obj.items()}
     return obj
 
 

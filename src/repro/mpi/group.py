@@ -22,11 +22,13 @@ UNEQUAL = 2     #: different members
 class Group:
     """Immutable ordered set of processes; rank == position."""
 
-    __slots__ = ("procs",)
+    __slots__ = ("procs", "_rank")
 
     def __init__(self, procs: Iterable):
         self.procs: Tuple = tuple(procs)
-        if len(set(p.uid for p in self.procs)) != len(self.procs):
+        #: uid -> rank, so membership and rank lookups are O(1)
+        self._rank = {p.uid: i for i, p in enumerate(self.procs)}
+        if len(self._rank) != len(self.procs):
             raise RankError("duplicate process in group")
 
     # -- basics ------------------------------------------------------------
@@ -41,14 +43,11 @@ class Group:
         return iter(self.procs)
 
     def __contains__(self, proc) -> bool:
-        return any(p.uid == proc.uid for p in self.procs)
+        return proc.uid in self._rank
 
     def rank_of(self, proc) -> int:
         """Rank of ``proc`` in this group, or ``UNDEFINED``."""
-        for i, p in enumerate(self.procs):
-            if p.uid == proc.uid:
-                return i
-        return UNDEFINED
+        return self._rank.get(proc.uid, UNDEFINED)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Group) and \
@@ -67,21 +66,21 @@ class Group:
         theirs = [p.uid for p in other.procs]
         if mine == theirs:
             return IDENT
-        if sorted(mine) == sorted(theirs):
+        if self._rank.keys() == other._rank.keys():
             return SIMILAR
         return UNEQUAL
 
     def difference(self, other: "Group") -> "Group":
         """``MPI_Group_difference``: my members not in ``other`` (my order)."""
-        theirs = {p.uid for p in other.procs}
+        theirs = other._rank
         return Group(p for p in self.procs if p.uid not in theirs)
 
     def intersection(self, other: "Group") -> "Group":
-        theirs = {p.uid for p in other.procs}
+        theirs = other._rank
         return Group(p for p in self.procs if p.uid in theirs)
 
     def union(self, other: "Group") -> "Group":
-        mine = {p.uid for p in self.procs}
+        mine = self._rank
         extra = [p for p in other.procs if p.uid not in mine]
         return Group(list(self.procs) + extra)
 

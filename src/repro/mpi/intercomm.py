@@ -16,7 +16,7 @@ from ..simkernel.traps import Sleep
 from .batchcoll import BatchCollectives, collective
 from .comm import CommHandle
 from .datatypes import clone_payload, payload_nbytes
-from .errors import (ANY_SOURCE, ANY_TAG, UNDEFINED, CommInvalidError,
+from .errors import (ANY_SOURCE, ANY_TAG, CommInvalidError,
                      MPIError, ProcFailedError, RankError, RevokedError)
 from .group import Group
 from .matching import MessageBoard
@@ -50,8 +50,10 @@ class IntercommState:
         self.engines = (self.coll, *self.agree_coll.values())
         self.errhandlers: Dict[int, Callable] = {}
         self.acked: Dict[int, tuple] = {}
-        self._a_uids = {p.uid for p in self.group_a}
-        self._b_uids = {p.uid for p in self.group_b}
+        #: uid -> (side, local rank, merge-round member index)
+        self._where = {p.uid: ("a", i, i) for i, p in enumerate(self.group_a)}
+        self._where.update((p.uid, ("b", i, n_a + i))
+                           for i, p in enumerate(self.group_b))
         universe.stats.comms_created += 1
         for p in self.all_procs:
             p.comm_states.add(self)
@@ -60,12 +62,14 @@ class IntercommState:
     def all_procs(self) -> List[Proc]:
         return self.group_a + self.group_b
 
+    def _place(self, proc: Proc) -> tuple:
+        try:
+            return self._where[proc.uid]
+        except KeyError:
+            raise CommInvalidError(f"{proc.name} not in {self.name}") from None
+
     def side_of(self, proc: Proc) -> str:
-        if proc.uid in self._a_uids:
-            return "a"
-        if proc.uid in self._b_uids:
-            return "b"
-        raise CommInvalidError(f"{proc.name} not in {self.name}")
+        return self._place(proc)[0]
 
     def local_remote(self, proc: Proc):
         return (self.group_a, self.group_b) if self.side_of(proc) == "a" \
@@ -73,16 +77,11 @@ class IntercommState:
 
     def rank_of(self, proc: Proc) -> int:
         """Rank within the proc's own (local) group."""
-        local, _ = self.local_remote(proc)
-        for i, p in enumerate(local):
-            if p.uid == proc.uid:
-                return i
-        return UNDEFINED
+        return self._place(proc)[1]
 
     def member_index(self, proc: Proc) -> int:
         """Position in the merge round's member list (group a, then b)."""
-        rank = self.rank_of(proc)
-        return rank if self.side_of(proc) == "a" else len(self.group_a) + rank
+        return self._place(proc)[2]
 
     def on_proc_death(self, proc: Proc, now: float) -> None:
         self.board.drop_waiters_of(proc.uid)

@@ -4,7 +4,7 @@ from .advection import (AdvectionProblem, DiffusionProblem, gaussian_hump,
                         sinusoid)
 from .decomposition import SlabDecomposition, choose_axis
 from .lax_wendroff import (FLOPS_PER_POINT, SerialAdvectionSolver,
-                           courant_numbers, lw_step_interior,
+                           courant_numbers, initial_slab, lw_step_interior,
                            lw_step_periodic, nodal_view, periodic_from_initial,
                            periodic_from_nodal)
 from .norms import l1, l2, linf
@@ -20,7 +20,8 @@ __all__ = [
     "SlabDecomposition", "choose_axis",
     "convergence_study", "observed_orders", "richardson_error_estimate",
     "lw_step_periodic", "lw_step_interior", "nodal_view",
-    "periodic_from_nodal", "periodic_from_initial", "courant_numbers",
+    "periodic_from_nodal", "periodic_from_initial", "initial_slab",
+    "courant_numbers",
     "FLOPS_PER_POINT",
     "l1", "l2", "linf",
 ]

@@ -18,7 +18,7 @@ re-attaches it for the combination technique, whose nodal grids are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -28,10 +28,28 @@ FLOPS_PER_POINT = 24.0
 
 def periodic_from_initial(problem, level_x: int, level_y: int) -> np.ndarray:
     """Initial condition as a periodic array of shape ``(2^i, 2^j)``."""
+    return initial_slab(problem, level_x, level_y)
+
+
+def initial_slab(problem, level_x: int, level_y: int,
+                 rows: Optional[Tuple[int, int]] = None,
+                 cols: Optional[Tuple[int, int]] = None) -> np.ndarray:
+    """The ``rows x cols`` block of the periodic initial condition.
+
+    ``rows``/``cols`` are half-open index ranges (None: the whole axis).
+    The initial condition is evaluated on the block's points only, so a
+    rank never builds the whole sub-grid; the values are bit-identical to
+    slicing :func:`periodic_from_initial`.  The block owns its memory.
+    """
     nx, ny = 1 << level_x, 1 << level_y
-    xs = np.arange(nx) / nx
-    ys = np.arange(ny) / ny
-    return problem.initial(xs[:, None], ys[None, :])
+    xlo, xhi = rows or (0, nx)
+    ylo, yhi = cols or (0, ny)
+    xs = np.arange(xlo, xhi) / nx
+    ys = np.arange(ylo, yhi) / ny
+    u = problem.initial(xs[:, None], ys[None, :])
+    if u.base is not None or not u.flags.c_contiguous:
+        u = u.copy()
+    return u
 
 
 def nodal_view(u: np.ndarray) -> np.ndarray:

@@ -19,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import SlabDecomposition, choose_axis
-from .lax_wendroff import (FLOPS_PER_POINT, nodal_view,
-                           periodic_from_initial)
+from .lax_wendroff import FLOPS_PER_POINT, initial_slab, nodal_view
 
 _HALO_TAG_UP = 101
 _HALO_TAG_DOWN = 102
@@ -45,10 +44,7 @@ class DistributedAdvectionSolver:
         n_axis = 1 << (level_x if self.axis == 0 else level_y)
         self.decomp = SlabDecomposition(n_axis, comm.size, self.axis)
         self.step_count = 0
-        lo, hi = self.decomp.bounds(comm.rank)
-        full = periodic_from_initial(problem, level_x, level_y)
-        self.u = np.ascontiguousarray(
-            full[lo:hi, :] if self.axis == 0 else full[:, lo:hi])
+        self.u = initial_slab(problem, level_x, level_y, *self.block)
         # persistent step buffers (lazily sized; only used when the problem
         # provides allocation-free kernels)
         self._w = self._buf_a = self._buf_b = self._ti = self._scratch = None
@@ -62,11 +58,12 @@ class DistributedAdvectionSolver:
     def shape(self):
         return (1 << self.level_x, 1 << self.level_y)
 
-    def _slab(self, arr: np.ndarray) -> np.ndarray:
-        """My slab of a full periodic array."""
+    @property
+    def block(self):
+        """This rank's ``(rows, cols)`` index ranges of the sub-grid (None:
+        the whole axis), for :func:`~.lax_wendroff.initial_slab`."""
         lo, hi = self.decomp.bounds(self.comm.rank)
-        return np.ascontiguousarray(
-            arr[lo:hi, :] if self.axis == 0 else arr[:, lo:hi])
+        return ((lo, hi), None) if self.axis == 0 else (None, (lo, hi))
 
     # ------------------------------------------------------------------
     # time stepping

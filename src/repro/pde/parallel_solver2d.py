@@ -20,8 +20,7 @@ import numpy as np
 
 from ..mpi.cart import CartHandle, create_cart, dims_create
 from .decomposition import SlabDecomposition
-from .lax_wendroff import (FLOPS_PER_POINT, nodal_view,
-                           periodic_from_initial)
+from .lax_wendroff import FLOPS_PER_POINT, initial_slab, nodal_view
 
 _TAG_XLO = 201
 _TAG_XHI = 202
@@ -71,9 +70,7 @@ class Distributed2DAdvectionSolver:
         cx_, cy_ = cart.coords
         self._xlo, self._xhi = self.decomp_x.bounds(cx_)
         self._ylo, self._yhi = self.decomp_y.bounds(cy_)
-        full = periodic_from_initial(problem, level_x, level_y)
-        self.u = np.ascontiguousarray(
-            full[self._xlo:self._xhi, self._ylo:self._yhi])
+        self.u = initial_slab(problem, level_x, level_y, *self.block)
         # persistent step buffers (lazily sized; only used when the problem
         # provides allocation-free kernels)
         self._w = self._buf_a = self._buf_b = self._scratch = None
@@ -96,9 +93,10 @@ class Distributed2DAdvectionSolver:
     def shape(self):
         return (1 << self.level_x, 1 << self.level_y)
 
-    def _slab(self, arr: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(
-            arr[self._xlo:self._xhi, self._ylo:self._yhi])
+    @property
+    def block(self):
+        """This rank's ``(rows, cols)`` index ranges of the sub-grid."""
+        return (self._xlo, self._xhi), (self._ylo, self._yhi)
 
     # ------------------------------------------------------------------
     async def exchange_halos(self) -> np.ndarray:

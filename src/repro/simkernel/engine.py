@@ -329,7 +329,12 @@ class Engine:
             self.trace.append((self.now, task.name, "step"))
         try:
             if exc is not None:
-                trap = task.coro.throw(exc)
+                # an exception may be delivered to many tasks (a doomed
+                # collective round fails every rank with one instance);
+                # each delivery starts a fresh traceback, else the shared
+                # traceback would chain every rank's frames and keep all
+                # their stacks alive as long as the exception lives
+                trap = task.coro.throw(exc.with_traceback(None))
             else:
                 trap = task.coro.send(value)
         except StopIteration as stop:

@@ -103,3 +103,28 @@ def rebind_then_mutate(src, dst, xs):
     w = list(xs)
     w.append(1.0)  # w is a fresh list now, not the cached array
     return w
+
+
+# --- mutating a collective result every rank shares --------------------
+async def extend_views(comm, x, y):
+    views = await comm.allgather(x)
+    views.append(y)  # BAD
+    return len(views)
+
+
+async def extend_owned_views(comm, x, y):
+    views = list(await comm.allgather(x))
+    views.append(y)  # an owned copy of the shared list
+    return len(views)
+
+
+async def bump_total(comm, arr):
+    total = await comm.allreduce(arr)
+    total[0] = 0.0  # BAD
+    return total.sum()
+
+
+async def bump_owned_total(comm, arr):
+    total = (await comm.allreduce(arr)).copy()
+    total[0] = 0.0  # owned copy
+    return total.sum()

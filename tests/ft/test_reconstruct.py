@@ -7,7 +7,7 @@ from repro.ft import (PLACE_FIRST_FIT, PLACE_SAME_HOST, PLACE_SPARE,
                       RepairRecord, communicator_reconstruct,
                       select_rank_key)
 from repro.ft.reconstruct import PlacementError, _placement_hosts
-from repro.machine import Hostfile
+from repro.machine import Host, Hostfile
 from repro.mpi import MPIError, Universe
 from repro.machine.presets import IDEAL, OPL
 
@@ -356,3 +356,44 @@ def test_replacement_killed_mid_join_triggers_repair_retry():
     # a second replacement job exists and regained rank 2
     final_children = [j.results() for j in uni.jobs[2:]]
     assert any((2, 4, 4) in r for r in final_children)
+
+
+def _spill_hostfile():
+    # three regular hosts of 3 slots (ranks 0-2, 3-5, 6-8) and one spare;
+    # free slots: node000 1, node001 0, node002 2, spare000 2
+    return _occupy(Hostfile.uniform(3, slots=3, n_spares=1),
+                   node000=2, node001=3, node002=1, spare000=1)
+
+
+@pytest.mark.parametrize("placement, expected", [
+    # node001's victims spill onto the spare, then onto regular hosts in
+    # hostfile order; rank 0 then finds its own host already promised
+    (PLACE_SAME_HOST,
+     ["spare000", "spare000", "node000", "node002", "node002"]),
+    (PLACE_SPARE,
+     ["spare000", "spare000", "node000", "node002", "node002"]),
+    (PLACE_FIRST_FIT,
+     ["node000", "node002", "node002", "spare000", "spare000"]),
+])
+def test_placement_spills_in_policy_order(placement, expected):
+    names = _placement_hosts(_Uni(_spill_hostfile()), [3, 4, 5, 0, 1],
+                             placement)
+    assert names == expected
+
+
+def test_same_host_placement_reads_only_the_preferred_host():
+    """The fallback chain is evaluated lazily: while every victim's own
+    host has room, no other host's capacity is even looked at."""
+    reads = []
+
+    class CountingHost(Host):
+        @property
+        def free_slots(self):
+            reads.append(self.name)
+            return self.slots - self.occupied
+
+    hf = Hostfile([CountingHost(f"node{i:03d}", 2) for i in range(50)]
+                  + [CountingHost("spare000", 2, spare=True)])
+    names = _placement_hosts(_Uni(hf), [5, 40, 99], PLACE_SAME_HOST)
+    assert names == ["node002", "node020", "node049"]
+    assert reads == names

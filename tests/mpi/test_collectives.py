@@ -32,14 +32,22 @@ def test_bcast_from_each_root():
 
 
 def test_bcast_numpy_not_aliased():
+    """The root keeps its own array; the other ranks share one read-only
+    copy of it, so neither side's writes can reach the other."""
     async def main(ctx):
         arr = np.arange(3) if ctx.rank == 0 else None
         got = await ctx.comm.bcast(arr, root=0)
-        got += ctx.rank * 100
+        if ctx.rank == 0:
+            arr[:] = -1                  # the root's array stays its own
+            return got.tolist()
+        with pytest.raises(ValueError):
+            got += ctx.rank * 100        # a shared result is read-only
+        got = got + ctx.rank * 100
         return got.tolist()
 
     res, _ = run(3, main)
-    assert res[0] == [0, 1, 2]
+    assert res[0] == [-1, -1, -1]
+    assert res[1] == [100, 101, 102]
     assert res[2] == [200, 201, 202]
 
 

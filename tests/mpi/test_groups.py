@@ -121,3 +121,43 @@ def test_group_algebra_properties(a_idx, b_idx):
     assert u.size == len(a_idx | b_idx)
     # compare is reflexive-IDENT
     assert a.compare(a) == IDENT
+
+
+def _scan_rank_of(group, proc):
+    """The linear scan the uid index replaced."""
+    for i, p in enumerate(group.procs):
+        if p.uid == proc.uid:
+            return i
+    return UNDEFINED
+
+
+@given(st.permutations(range(12)), st.integers(0, 12))
+def test_indexed_rank_of_matches_linear_scan(order, size):
+    """Over random member orders and sizes, the uid-indexed ``rank_of``
+    and ``in`` agree with a scan, members and outsiders (UNDEFINED)
+    alike; so does ``translate_ranks`` built on them."""
+    procs = mk_procs(12)
+    group = Group(procs[i] for i in order[:size])
+    for p in procs:
+        assert group.rank_of(p) == _scan_rank_of(group, p)
+        assert (p in group) == (_scan_rank_of(group, p) != UNDEFINED)
+    world = Group(procs)
+    assert group.translate_ranks(range(size), world) == list(order[:size])
+    assert world.translate_ranks(range(12), group) == \
+        [_scan_rank_of(group, p) for p in procs]
+
+
+def test_intercomm_places_members_by_uid():
+    from repro.machine.presets import IDEAL
+    from repro.mpi.errors import CommInvalidError
+    from repro.mpi.intercomm import IntercommState
+    from repro.mpi.universe import Universe
+
+    procs = mk_procs(6)
+    state = IntercommState(Universe(IDEAL), procs[:3], procs[3:5])
+    assert [state.side_of(p) for p in procs[:5]] == list("aaabb")
+    assert [state.rank_of(p) for p in procs[:5]] == [0, 1, 2, 0, 1]
+    assert [state.member_index(p) for p in procs[:5]] == [0, 1, 2, 3, 4]
+    for lookup in (state.side_of, state.rank_of, state.member_index):
+        with pytest.raises(CommInvalidError):
+            lookup(procs[5])

@@ -113,6 +113,39 @@ def test_future_exception_propagates():
     assert t.result == "survived"
 
 
+def _traceback_frames(exc):
+    tb, names = exc.__traceback__, []
+    while tb is not None:
+        names.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    return names
+
+
+@pytest.mark.parametrize("n_waiters", [1, 6])
+def test_shared_exception_keeps_one_delivery_traceback(n_waiters):
+    """One exception failing many tasks (a doomed collective round) starts
+    a fresh traceback at each delivery: it never chains every task's
+    frames, which would keep all their stacks alive with it."""
+    eng = Engine()
+    fut = eng.create_future()
+    shared = ValueError("doomed")
+
+    async def waiter():
+        try:
+            await fut
+        except ValueError:
+            return "handled"
+
+    async def setter():
+        fut.set_exception(shared)
+
+    tasks = [eng.spawn(waiter()) for _ in range(n_waiters)]
+    eng.spawn(setter())
+    eng.run()
+    assert [t.result for t in tasks] == ["handled"] * n_waiters
+    assert _traceback_frames(shared) == ["waiter", "__await__"]
+
+
 def test_await_already_resolved_future():
     eng = Engine()
     fut = eng.create_future()
